@@ -1,11 +1,12 @@
 // google-benchmark micro-benchmarks for the numerical kernels behind the
 // figures: OS-ELM predict / seq_train latency vs layer width, GEMM
-// scaling, decomposition costs, fixed- vs floating-point arithmetic, and
-// the DQN training step.
+// scaling, decomposition costs, fixed- vs floating-point arithmetic, the
+// Q20 kernels of the simulated FPGA core, and the DQN training step.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "elm/os_elm.hpp"
@@ -118,6 +119,134 @@ void BM_FpgaSeqTrainFunctional(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FpgaSeqTrainFunctional)->Arg(32)->Arg(64)->Arg(128);
+
+void BM_FpgaPredictActions(benchmark::State& state) {
+  // Host cost of one simulated greedy evaluation (both CartPole actions
+  // through the batched predict_actions schedule) — the hw.predict_us row.
+  const auto units = static_cast<std::size_t>(state.range(0));
+  hw::FpgaBackendConfig cfg;
+  cfg.hidden_units = units;
+  hw::FpgaOsElmBackend backend(cfg, 5);
+  util::Rng rng(23);
+  backend.init_train(random_matrix(units, 5, rng),
+                     random_matrix(units, 1, rng));
+  linalg::VecD s(4);
+  rng.fill_uniform(s, -1.0, 1.0);
+  const linalg::VecD codes = {0.0, 1.0};
+  linalg::VecD q(codes.size());
+  for (auto _ : state) {
+    backend.predict_actions(s, codes, rl::QNetwork::kMain, q);
+    benchmark::DoNotOptimize(q.data());
+  }
+}
+BENCHMARK(BM_FpgaPredictActions)->Arg(32)->Arg(64)->Arg(128);
+
+// -- Q20 kernels behind the FPGA model (arg(1) = 0 times the scalar
+// reference). BM_FpgaSeqTrainFunctional splits into q20_matvec +
+// q20_rank1_downdate (+ O(N) dots/axpy); BM_FpgaPredictActions into
+// q20_hidden_mac + one q20_action_dot per action.
+
+std::vector<std::int32_t> random_q20(std::size_t n, util::Rng& rng) {
+  std::vector<std::int32_t> v(n);
+  for (auto& w : v) w = fixed::Q20::from_double(rng.uniform(-1.0, 1.0)).raw();
+  return v;
+}
+
+void set_simd_arg(const benchmark::State& state) {
+  linalg::kernels::set_simd_enabled(state.range(1) == 1 &&
+                                    linalg::kernels::simd_available());
+}
+
+void BM_Q20Matvec(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  set_simd_arg(state);
+  util::Rng rng(24);
+  const auto m = random_q20(n * n, rng);
+  const auto x = random_q20(n, rng);
+  std::vector<std::int32_t> y(n);
+  linalg::kernels::Q20SatCounts sat;
+  for (auto _ : state) {
+    linalg::kernels::q20_matvec(m.data(), n, x.data(), y.data(), sat);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n));
+  linalg::kernels::reset_simd_override();
+}
+BENCHMARK(BM_Q20Matvec)
+    ->ArgsProduct({{32, 64, 128}, {0, 1}})
+    ->ArgNames({"n", "simd"});
+
+void BM_Q20Rank1Downdate(benchmark::State& state) {
+  // Alternates the sign of inv so P random-walks instead of drifting into
+  // saturation; every call is one full downdate.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  set_simd_arg(state);
+  util::Rng rng(25);
+  auto p = random_q20(n * n, rng);
+  const auto u = random_q20(n, rng);
+  std::vector<std::int32_t> ws(n);
+  std::int32_t inv = fixed::Q20::from_double(0.01).raw();
+  linalg::kernels::Q20SatCounts sat;
+  for (auto _ : state) {
+    linalg::kernels::q20_rank1_downdate(p.data(), n, u.data(), inv,
+                                        ws.data(), sat);
+    inv = -inv;
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n));
+  linalg::kernels::reset_simd_override();
+}
+BENCHMARK(BM_Q20Rank1Downdate)
+    ->ArgsProduct({{32, 64, 128}, {0, 1}})
+    ->ArgNames({"n", "simd"});
+
+void BM_Q20HiddenMac(benchmark::State& state) {
+  // The hidden layer of one predict/seq_train: 5 input rows (CartPole
+  // state + action code) into `units` ReLU outputs.
+  constexpr std::size_t kRows = 5;
+  const auto units = static_cast<std::size_t>(state.range(0));
+  set_simd_arg(state);
+  util::Rng rng(26);
+  const auto a = random_q20(kRows * units, rng);
+  const auto x = random_q20(kRows, rng);
+  const auto bias = random_q20(units, rng);
+  std::vector<std::int32_t> out(units);
+  linalg::kernels::Q20SatCounts sat;
+  for (auto _ : state) {
+    linalg::kernels::q20_hidden_mac(a.data(), kRows, units, x.data(),
+                                    bias.data(), out.data(), true, sat);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRows * units));
+  linalg::kernels::reset_simd_override();
+}
+BENCHMARK(BM_Q20HiddenMac)
+    ->ArgsProduct({{32, 64, 128}, {0, 1}})
+    ->ArgNames({"units", "simd"});
+
+void BM_Q20ActionDot(benchmark::State& state) {
+  const auto units = static_cast<std::size_t>(state.range(0));
+  set_simd_arg(state);
+  util::Rng rng(27);
+  const auto shared = random_q20(units, rng);
+  const auto last = random_q20(units, rng);
+  const auto beta = random_q20(units, rng);
+  const std::int32_t code = fixed::Q20::one().raw();
+  linalg::kernels::Q20SatCounts sat;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::kernels::q20_action_dot(
+        shared.data(), last.data(), code, beta.data(), units, sat));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(units));
+  linalg::kernels::reset_simd_override();
+}
+BENCHMARK(BM_Q20ActionDot)
+    ->ArgsProduct({{32, 64, 128}, {0, 1}})
+    ->ArgNames({"units", "simd"});
 
 void BM_DqnTrainStep(benchmark::State& state) {
   const auto units = static_cast<std::size_t>(state.range(0));

@@ -12,8 +12,14 @@
 //
 // The regression gate (OSELM_BENCH_MIN_SPEEDUP_PCT, CI passes 130) binds
 // simd-vs-seed: the acceptance target is >= 1.5x locally, gated at 1.3x
-// to absorb shared-runner noise. Emits BENCH_train.json for the CI
-// artifact trail.
+// to absorb shared-runner noise.
+//
+// The Q20 row times the FPGA functional model's seq_train (the hw layer of
+// the solve workload) on the AVX2 kernel set against the scalar reference,
+// on the same update stream, in interleaved reps; its gate
+// (OSELM_Q20_MIN_SPEEDUP_PCT, CI passes 200) binds the median per-rep
+// ratio, and the min/max ratio is printed beside it as the noise floor.
+// Emits BENCH_train.json for the CI artifact trail.
 //
 // Dependency-free on purpose (plain chrono timing, no google-benchmark)
 // so it is always built and runs in every CI image.
@@ -24,6 +30,7 @@
 
 #include "bench_common.hpp"
 #include "elm/os_elm.hpp"
+#include "hw/fpga_backend.hpp"
 #include "linalg/kernels.hpp"
 #include "rl/backend_registry.hpp"
 #include "rl/serving.hpp"
@@ -103,6 +110,28 @@ struct SeedScalarModel {
   }
 };
 
+/// The init_train batch and the sample pool every seq_train variant
+/// digests (fixed seeds, so each variant sees the identical stream).
+struct UpdateStream {
+  MatD x0;
+  MatD t0;
+  std::vector<VecD> xs;
+  VecD targets;
+
+  explicit UpdateStream(std::size_t hidden_units)
+      : x0(hidden_units, kInputDim),
+        t0(hidden_units, 1),
+        xs(kSamplePool, VecD(kInputDim, 0.0)),
+        targets(kSamplePool, 0.0) {
+    oselm::util::Rng data_rng(7);
+    data_rng.fill_uniform(x0.storage(), -0.5, 0.5);
+    data_rng.fill_uniform(t0.storage(), -1.0, 1.0);
+    oselm::util::Rng sample_rng(11);
+    for (auto& x : xs) sample_rng.fill_uniform(x, -0.5, 0.5);
+    sample_rng.fill_uniform(targets, -1.0, 1.0);
+  }
+};
+
 struct TrainMeasurement {
   double seed_scalar_ns = 0.0;
   double scalar_kernels_ns = 0.0;
@@ -114,20 +143,10 @@ TrainMeasurement measure_seq_train(std::size_t hidden_units,
                                    std::size_t iters, bool simd_variant) {
   oselm::util::Rng rng(42);
   oselm::elm::OsElm reference(train_config(hidden_units), rng);
-  {
-    MatD x0(hidden_units, kInputDim);
-    MatD t0(hidden_units, 1);
-    oselm::util::Rng data_rng(7);
-    data_rng.fill_uniform(x0.storage(), -0.5, 0.5);
-    data_rng.fill_uniform(t0.storage(), -1.0, 1.0);
-    reference.init_train(x0, t0);
-  }
-
-  std::vector<VecD> xs(kSamplePool, VecD(kInputDim, 0.0));
-  VecD targets(kSamplePool, 0.0);
-  oselm::util::Rng sample_rng(11);
-  for (auto& x : xs) sample_rng.fill_uniform(x, -0.5, 0.5);
-  sample_rng.fill_uniform(targets, -1.0, 1.0);
+  const UpdateStream stream(hidden_units);
+  reference.init_train(stream.x0, stream.t0);
+  const std::vector<VecD>& xs = stream.xs;
+  const VecD& targets = stream.targets;
 
   const std::size_t warmup = iters / 10 + 1;
   TrainMeasurement out;
@@ -171,6 +190,72 @@ TrainMeasurement measure_seq_train(std::size_t hidden_units,
   out.simd_ns = run_kernel_variant(simd_variant);
   // Back to following OSELM_SIMD for the serving measurements below.
   kernels::reset_simd_override();
+  return out;
+}
+
+/// Host ns per FpgaOsElmBackend::seq_train on one kernel set, from the
+/// same initial state and sample stream every call.
+double time_q20_seq_train(bool simd, std::size_t hidden_units,
+                          std::size_t iters) {
+  kernels::set_simd_enabled(simd);
+  oselm::hw::FpgaBackendConfig cfg;
+  cfg.input_dim = kInputDim;
+  cfg.hidden_units = hidden_units;
+  oselm::hw::FpgaOsElmBackend backend(cfg, /*seed=*/42);
+  const UpdateStream stream(hidden_units);
+  backend.init_train(stream.x0, stream.t0);
+  const auto update = [&](std::size_t it) {
+    backend.seq_train(stream.xs[it % kSamplePool],
+                      stream.targets[it % kSamplePool]);
+  };
+  for (std::size_t it = 0; it < iters / 10 + 1; ++it) update(it);
+  oselm::util::WallTimer timer;
+  for (std::size_t it = 0; it < iters; ++it) update(it);
+  return timer.seconds() * 1e9 / static_cast<double>(iters);
+}
+
+struct Q20Measurement {
+  double scalar_ns = 0.0;  ///< median over reps
+  double simd_ns = 0.0;    ///< median over reps
+  double speedup = 0.0;    ///< median per-rep scalar/simd ratio
+  double speedup_min = 0.0;
+  double speedup_max = 0.0;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Odd reps alternate which kernel set runs first, so host drift lands on
+/// both sides of each ratio alike.
+Q20Measurement measure_q20_seq_train(std::size_t hidden_units,
+                                     std::size_t iters, bool simd_variant,
+                                     int reps) {
+  std::vector<double> scalar_ns;
+  std::vector<double> simd_ns;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < reps; ++rep) {
+    double scalar = 0.0;
+    double simd = 0.0;
+    if (rep % 2 == 0) {
+      scalar = time_q20_seq_train(false, hidden_units, iters);
+      simd = time_q20_seq_train(simd_variant, hidden_units, iters);
+    } else {
+      simd = time_q20_seq_train(simd_variant, hidden_units, iters);
+      scalar = time_q20_seq_train(false, hidden_units, iters);
+    }
+    scalar_ns.push_back(scalar);
+    simd_ns.push_back(simd);
+    ratios.push_back(scalar / simd);
+  }
+  kernels::reset_simd_override();
+  Q20Measurement out;
+  out.scalar_ns = median(scalar_ns);
+  out.simd_ns = median(simd_ns);
+  out.speedup = median(ratios);
+  out.speedup_min = *std::min_element(ratios.begin(), ratios.end());
+  out.speedup_max = *std::max_element(ratios.begin(), ratios.end());
   return out;
 }
 
@@ -266,6 +351,18 @@ int main(int argc, char** argv) {
               simd_active ? "avx2" : "scalar", best.simd_ns,
               speedup_vs_seed, speedup_vs_scalar_kernels);
 
+  constexpr int kQ20Reps = 7;
+  const Q20Measurement q20 =
+      measure_q20_seq_train(hidden_units, iters, simd_active, kQ20Reps);
+  std::printf("Q20 seq_train (FPGA model) @ N=%zu (%d interleaved reps)\n",
+              hidden_units, kQ20Reps);
+  std::printf("  scalar kernels                 : %9.1f ns/update\n",
+              q20.scalar_ns);
+  std::printf("  %-6s kernels                 : %9.1f ns/update  "
+              "(%.2fx median, per-rep %.2fx..%.2fx)\n",
+              simd_active ? "avx2" : "scalar", q20.simd_ns, q20.speedup,
+              q20.speedup_min, q20.speedup_max);
+
   // --- QServer throughput: serial vs sharded env stepping.
   const std::size_t session_counts[] = {1, 8, 32};
   std::vector<ServingPoint> serving;
@@ -293,11 +390,16 @@ int main(int argc, char** argv) {
       "\"scalar_kernels_ns\": %.1f, \"simd_ns\": %.1f, "
       "\"speedup_vs_seed\": %.3f, \"speedup_vs_scalar_kernels\": %.3f, "
       "\"symmetry_only_speedup\": %.3f},\n"
+      "  \"q20_seq_train\": {\"reps\": %d, \"scalar_ns\": %.1f, "
+      "\"simd_ns\": %.1f, \"speedup\": %.3f, \"speedup_min\": %.3f, "
+      "\"speedup_max\": %.3f},\n"
       "  \"serving\": [\n",
       hidden_units, iters, kernels::simd_available() ? "true" : "false",
       simd_active ? "avx2" : "scalar", best.seed_scalar_ns,
       best.scalar_kernels_ns, best.simd_ns, speedup_vs_seed,
-      speedup_vs_scalar_kernels, symmetry_only_speedup);
+      speedup_vs_scalar_kernels, symmetry_only_speedup, kQ20Reps,
+      q20.scalar_ns, q20.simd_ns, q20.speedup, q20.speedup_min,
+      q20.speedup_max);
   for (std::size_t i = 0; i < serving.size(); ++i) {
     const ServingPoint& p = serving[i];
     std::fprintf(
@@ -319,6 +421,11 @@ int main(int argc, char** argv) {
   if (simd_active &&
       !oselm::bench::check_speedup_gate("OSELM_BENCH_MIN_SPEEDUP_PCT",
                                         "seq_train simd", speedup_vs_seed)) {
+    return 1;
+  }
+  if (simd_active &&
+      !oselm::bench::check_speedup_gate("OSELM_Q20_MIN_SPEEDUP_PCT",
+                                        "q20 seq_train simd", q20.speedup)) {
     return 1;
   }
   if (!simd_active) {

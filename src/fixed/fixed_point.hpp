@@ -10,9 +10,11 @@
 //   * multiplication keeps a 64-bit intermediate, rounds to nearest, then
 //     saturates into the 32-bit result;
 //   * division widens the dividend by FracBits before the integer divide;
-//   * saturation events are counted in fixed::overflow_stats().
+//   * saturation events are counted in fixed::overflow_stats(); NaN
+//     converts to zero and counts as a conversion saturation.
 #pragma once
 
+#include <cmath>
 #include <compare>
 #include <cstdint>
 #include <limits>
@@ -37,8 +39,14 @@ class Fixed {
 
   constexpr Fixed() noexcept = default;
 
-  /// Converts from double with round-to-nearest and saturation.
+  /// Converts from double with round-to-nearest and saturation. NaN has
+  /// no value to saturate to: it maps to zero and counts as a conversion
+  /// saturation.
   static Fixed from_double(double value) noexcept {
+    if (std::isnan(value)) {
+      ++overflow_stats().conversion_saturations;
+      return zero();
+    }
     const double scaled = value * static_cast<double>(kOne);
     if (scaled >= static_cast<double>(kRawMax)) {
       ++overflow_stats().conversion_saturations;

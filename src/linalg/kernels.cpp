@@ -43,6 +43,8 @@ std::int32_t q20_action_dot(const std::int32_t* shared,
                             const std::int32_t* last_row, std::int32_t code,
                             const std::int32_t* beta, std::size_t units,
                             Q20SatCounts& sat) noexcept;
+void q20_matvec(const std::int32_t* m, std::size_t n, const std::int32_t* x,
+                std::int32_t* y, Q20SatCounts& sat) noexcept;
 void q20_rank1_downdate(std::int32_t* p, std::size_t n,
                         const std::int32_t* u, std::int32_t inv,
                         std::int32_t* scaled_ws, Q20SatCounts& sat) noexcept;
@@ -503,15 +505,7 @@ std::int32_t q20_action_dot(const std::int32_t* shared,
 
 void q20_matvec(const std::int32_t* m, std::size_t n, const std::int32_t* x,
                 std::int32_t* y, Q20SatCounts& sat) noexcept {
-#if defined(OSELM_HAVE_AVX2_KERNELS)
-  if (simd_enabled()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] = avx2::q20_dot(m + i * n, x, n, 0, sat);
-    }
-    return;
-  }
-#endif
-  scalar::q20_matvec(m, n, x, y, sat);
+  OSELM_DISPATCH(q20_matvec, m, n, x, y, sat);
 }
 
 void q20_rank1_downdate(std::int32_t* p, std::size_t n,

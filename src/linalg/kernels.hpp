@@ -21,10 +21,17 @@
 //     backend prediction paths built on them stay bit-identical to each
 //     other (the backend-contract EXPECT_DOUBLE_EQ pins rely on this).
 //   * q20_* kernels: bit-exact against the scalar reference in BOTH
-//     modes, including the saturation counters — the rank-1 update and
-//     MAC loops mirror fixed::Q20 semantics (round-to-nearest multiply,
-//     per-step saturating accumulate). This is the FPGA fidelity
-//     contract: OSELM_SIMD never changes a fixed-point result.
+//     modes, including the saturation counters (fixed::Q20 semantics:
+//     round-to-nearest multiply, per-step saturating accumulate). The AVX2
+//     set gets there by range proof, not by emulating saturation: each
+//     kernel first proves cheaply that no saturation can occur (an OR over
+//     offset products for the dot-style kernels, an O(n) max|.| bound plus
+//     a per-group signed-overflow test for the element-wise ones), then
+//     runs wrap-free int32 arithmetic, which equals the saturating result
+//     whenever nothing saturates; a row or group whose proof fails is
+//     recomputed through the scalar primitives, which also count the
+//     events. This is the FPGA fidelity contract: OSELM_SIMD never changes
+//     a fixed-point result.
 #pragma once
 
 #include <cstddef>
@@ -150,14 +157,14 @@ void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
 // All q20_* kernels are bit-exact against fixed::Q20 operator arithmetic,
 // including saturation events, which are reported through Q20SatCounts so
 // the caller can fold them into fixed::overflow_stats(). The AVX2 paths
-// saturate in-line and fall back to the scalar reference for any vector
-// group that observed a saturation (rare), so values AND counts always
-// match the reference.
+// run only where a range proof rules saturation out and hand every other
+// row or group to the scalar reference (see "Numerical contract" above),
+// so values AND counts always match the reference.
 
 struct Q20SatCounts {
   std::uint64_t add = 0;         ///< add/sub saturations
   std::uint64_t mul = 0;         ///< multiply saturations
-  std::uint64_t conversion = 0;  ///< double -> Q20 saturations
+  std::uint64_t conversion = 0;  ///< double -> Q20 saturations (and NaNs)
 };
 
 /// out[j] = [relu]( init[j] + sum_{i<rows} x[i] * a(i, j) ) for a
@@ -199,7 +206,8 @@ void q20_rank1_downdate(std::int32_t* p, std::size_t n,
 void q20_axpy(std::int32_t* y, std::int32_t a, const std::int32_t* x,
               std::size_t n, Q20SatCounts& sat) noexcept;
 
-/// dst[i] = Q20::from_double(src[i]) — round-to-nearest, saturating.
+/// dst[i] = Q20::from_double(src[i]) — round-to-nearest, saturating; NaN
+/// maps to 0 and counts as a conversion saturation.
 void q20_quantize(const double* src, std::int32_t* dst, std::size_t n,
                   Q20SatCounts& sat) noexcept;
 

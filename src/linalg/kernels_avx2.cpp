@@ -10,24 +10,35 @@
 // accumulators over 8-element blocks, a fixed horizontal sum, then a
 // sequential fma tail) so they stay bit-identical to each other.
 //
-// Q20 kernels: saturation is applied in-line per step (blend against the
-// int32 limits), which keeps values bit-exact; saturation *events* are
-// rare and tracked with a sticky mask — any vector group that observed
-// one is recomputed through the scalar primitives so the counters match
-// the reference exactly. Dot-style reductions use an exactness argument
-// instead of per-step order: int64 sums of int32-range products are
-// exact, so when no product saturated and the positive/negative partial
-// sums bound every prefix inside the int32 range, the sequential
-// saturating sum equals the plain sum; otherwise the scalar reference
-// recomputes the row.
+// Q20 kernels: one exactness idiom — prove cheaply that no saturation can
+// occur, then run a wrap-free path on 8 int32 words per vector; whenever
+// the proof fails, recompute that row or group through the scalar
+// q20detail primitives, so values AND saturation counters match the
+// reference. Products come from even/odd _mm256_mul_epi32 pairs (the odd
+// words shifted down by 32); bits [20, 52) of `product + 2^19` are the
+// rounded Q20 product whenever it fits in int32, and they are repacked
+// into 8 int32 lanes.
+//   * Dot-style kernels (q20_dot, q20_matvec, q20_hidden_mac,
+//     q20_action_dot) pick the largest k with |init| + n * 2^k <=
+//     INT32_MAX and OR-accumulate w = p + 2^19 + 2^(k+20). If no w has a
+//     bit at or above k+21, every rounded term lies in [-2^k, 2^k), so no
+//     multiply saturates and every prefix of the sequential sum stays
+//     inside int32: the saturating sum equals init + sum(w >> 20) -
+//     n * 2^k, which wrapping arithmetic computes exactly.
+//   * Element-wise kernels (q20_rank1_downdate, q20_axpy) check in O(n)
+//     that |scale| * max|u| + 2^19 < 2^51, so no multiply saturates; the
+//     int32 add/sub then gets a per-group signed-overflow test.
+// Tail lanes are masked loads of zero, which contribute exactly the bare
+// offset and are never stored.
 #if defined(OSELM_HAVE_AVX2_KERNELS)
 
 #include <immintrin.h>
 
 #include <algorithm>
-
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "linalg/kernels.hpp"
 #include "linalg/kernels_q20_inline.hpp"
@@ -69,65 +80,60 @@ inline double act_scalar(Act act, double x) noexcept {
 }
 
 // -- Q20 helpers ------------------------------------------------------------
+//
+// Vector constants are materialized per call site (the compiler hoists them
+// out of loops); a namespace-scope __m256i constant would run AVX
+// instructions during static initialization, before the runtime dispatcher
+// can rule them out.
 
-// Materialized per call site (the compiler hoists them out of loops); a
-// namespace-scope __m256i constant would run AVX instructions during
-// static initialization, before the runtime dispatcher can rule them out.
-inline __m256i vec_raw_max() noexcept {
-  return _mm256_set1_epi64x(q20detail::kRawMax);
-}
-inline __m256i vec_raw_min() noexcept {
-  return _mm256_set1_epi64x(q20detail::kRawMin);
-}
-inline __m256i vec_round_bias() noexcept {
-  return _mm256_set1_epi64x(q20detail::kRoundBias);
-}
+using q20detail::kFrac;
+using q20detail::kRawMax;
+using q20detail::kRoundBias;
 
-/// Arithmetic shift right by 20 for int64 lanes (AVX2 has no srai_epi64).
-inline __m256i srai64_frac(__m256i v) noexcept {
-  const __m256i logical = _mm256_srli_epi64(v, q20detail::kFrac);
-  const __m256i negative = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
-  return _mm256_or_si256(logical,
-                         _mm256_slli_epi64(negative, 64 - q20detail::kFrac));
+/// All-ones in the first `count` int32 lanes (count in [0, 8]).
+inline __m256i lane_mask(std::size_t count) noexcept {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-/// Clamps int64 lanes into int32 range, OR-ing any clamp into `sticky`.
-inline __m256i sat32(__m256i v, __m256i& sticky) noexcept {
-  const __m256i over = _mm256_cmpgt_epi64(v, vec_raw_max());
-  const __m256i under = _mm256_cmpgt_epi64(vec_raw_min(), v);
-  sticky = _mm256_or_si256(sticky, _mm256_or_si256(over, under));
-  v = _mm256_blendv_epi8(v, vec_raw_max(), over);
-  return _mm256_blendv_epi8(v, vec_raw_min(), under);
+/// Loads the first `count` words of a group, zeros elsewhere.
+inline __m256i load_group(const std::int32_t* p, std::size_t count) noexcept {
+  return count == 8
+             ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))
+             : _mm256_maskload_epi32(p, lane_mask(count));
 }
 
-/// Q20 multiply on int32-range int64 lanes (low 32 bits hold the words).
-inline __m256i q20_mul_vec(__m256i a, __m256i b, __m256i& sticky) noexcept {
-  __m256i product = _mm256_mul_epi32(a, b);
-  product = _mm256_add_epi64(product, vec_round_bias());
-  return sat32(srai64_frac(product), sticky);
+inline void store_group(std::int32_t* p, std::size_t count,
+                        __m256i v) noexcept {
+  if (count == 8) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  } else {
+    _mm256_maskstore_epi32(p, lane_mask(count), v);
+  }
 }
 
-/// Saturating add of int32-range int64 lanes.
-inline __m256i q20_add_vec(__m256i a, __m256i b, __m256i& sticky) noexcept {
-  return sat32(_mm256_add_epi64(a, b), sticky);
+/// int64 lanes of a[i] * b[i] + offset for the even and the odd words.
+struct Wide8 {
+  __m256i even;
+  __m256i odd;
+};
+
+inline Wide8 offset_products(__m256i a, __m256i b, __m256i offset) noexcept {
+  const __m256i even = _mm256_mul_epi32(a, b);
+  const __m256i odd =
+      _mm256_mul_epi32(_mm256_srli_epi64(a, 32), _mm256_srli_epi64(b, 32));
+  return {_mm256_add_epi64(even, offset), _mm256_add_epi64(odd, offset)};
 }
 
-/// Loads 4 consecutive int32 words into sign-extended int64 lanes.
-inline __m256i load4_epi64(const std::int32_t* p) noexcept {
-  return _mm256_cvtepi32_epi64(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+/// Bits [20, 52) of every lane, back in 8 int32 words in lane order.
+inline __m256i frac_words(const Wide8& w) noexcept {
+  return _mm256_blend_epi32(_mm256_srli_epi64(w.even, kFrac),
+                            _mm256_slli_epi64(w.odd, 32 - kFrac), 0xAA);
 }
 
-/// Stores the low int32 word of each int64 lane to 4 consecutive words.
-inline void store4_epi32(std::int32_t* p, __m256i v) noexcept {
-  const __m256i packed = _mm256_permutevar8x32_epi32(
-      v, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
-                   _mm256_castsi256_si128(packed));
-}
-
-inline bool any_set(__m256i mask) noexcept {
-  return _mm256_testz_si256(mask, mask) == 0;
+/// Any int32 lane with its sign bit set.
+inline bool any_sign(__m256i v) noexcept {
+  return _mm256_movemask_ps(_mm256_castsi256_ps(v)) != 0;
 }
 
 inline std::int64_t hsum64(__m256i v) noexcept {
@@ -137,11 +143,150 @@ inline std::int64_t hsum64(__m256i v) noexcept {
   return _mm_extract_epi64(pair, 0) + _mm_extract_epi64(pair, 1);
 }
 
-/// Splits int32-range int64 lanes into positive/negative running sums.
-inline void accumulate_signed(__m256i v, __m256i& pos, __m256i& neg) noexcept {
-  const __m256i negative = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
-  neg = _mm256_add_epi64(neg, _mm256_and_si256(v, negative));
-  pos = _mm256_add_epi64(pos, _mm256_andnot_si256(negative, v));
+inline std::uint64_t abs_u64(std::int32_t v) noexcept {
+  return v < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(v)
+               : static_cast<std::uint64_t>(v);
+}
+
+/// Calls step(j, count) over consecutive groups of 8 words, then once for
+/// a partial tail group; full groups pass a constant 8 so the group masks
+/// fold away.
+template <typename Step>
+inline void for_each_group(std::size_t n, Step&& step) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) step(j, std::size_t{8});
+  if (j < n) step(j, n - j);
+}
+
+inline std::uint64_t max_abs(const std::int32_t* v, std::size_t n) noexcept {
+  // abs_epi32 leaves INT32_MIN as 0x80000000, which is 2^31 unsigned.
+  __m256i m = _mm256_setzero_si256();
+  for_each_group(n, [&](std::size_t j, std::size_t count) {
+    m = _mm256_max_epu32(m, _mm256_abs_epi32(load_group(v + j, count)));
+  });
+  m = _mm256_max_epu32(m, _mm256_permute2x128_si256(m, m, 1));
+  m = _mm256_max_epu32(m, _mm256_shuffle_epi32(m, 0x4E));
+  m = _mm256_max_epu32(m, _mm256_shuffle_epi32(m, 0xB1));
+  return static_cast<std::uint32_t>(_mm256_cvtsi256_si32(m));
+}
+
+/// The dot-style range proof for terms in [-2^k, 2^k) (see the header).
+struct TermRange {
+  __m256i offset;       ///< 2^19 + 2^(k+20) in every int64 lane
+  __m256i outside;      ///< bits at or above k+21
+  std::int64_t excess;  ///< 2^k, what each term's w >> 20 overstates
+};
+
+inline TermRange term_range(int k) noexcept {
+  const std::int64_t limit = std::int64_t{1} << (k + kFrac + 1);
+  return {_mm256_set1_epi64x(kRoundBias + (limit >> 1)),
+          _mm256_set1_epi64x(-limit), std::int64_t{1} << k};
+}
+
+/// Largest k with max_abs_init + n * 2^k <= INT32_MAX, or -1 if none.
+inline int proof_k(std::uint64_t max_abs_init, std::size_t n) noexcept {
+  const auto raw_max = static_cast<std::uint64_t>(kRawMax);
+  if (max_abs_init > raw_max) return -1;
+  const std::uint64_t per_term =
+      (raw_max - max_abs_init) / std::max<std::size_t>(n, 1);
+  return static_cast<int>(std::bit_width(per_term)) - 1;  // -1 when 0
+}
+
+/// Dot-style accumulator: the int64 sum of w >> 20 and the OR of every w.
+struct ProvenSum {
+  __m256i sum = _mm256_setzero_si256();
+  __m256i bits = _mm256_setzero_si256();
+  std::size_t terms = 0;  ///< lanes added, masked tail lanes included
+
+  void add(__m256i a, __m256i b, const TermRange& range) noexcept {
+    const Wide8 w = offset_products(a, b, range.offset);
+    bits = _mm256_or_si256(bits, _mm256_or_si256(w.even, w.odd));
+    sum = _mm256_add_epi64(
+        sum, _mm256_add_epi64(_mm256_srli_epi64(w.even, kFrac),
+                              _mm256_srli_epi64(w.odd, kFrac)));
+    terms += 8;
+  }
+
+  [[nodiscard]] bool proven(const TermRange& range) const noexcept {
+    return _mm256_testz_si256(bits, range.outside) != 0;
+  }
+
+  /// init + the exact sum of the rounded terms (valid once proven()).
+  [[nodiscard]] std::int32_t result(std::int32_t init,
+                                    const TermRange& range) const noexcept {
+    return static_cast<std::int32_t>(
+        init + hsum64(sum) - static_cast<std::int64_t>(terms) * range.excess);
+  }
+};
+
+/// Range-proved init + sum a[j] * b[j]; false (nothing written) when the
+/// proof fails.
+inline bool proven_dot(const std::int32_t* a, const std::int32_t* b,
+                       std::size_t n, std::int32_t init,
+                       const TermRange& range, std::int32_t& out) noexcept {
+  ProvenSum acc;
+  for_each_group(n, [&](std::size_t j, std::size_t count) {
+    acc.add(load_group(a + j, count), load_group(b + j, count), range);
+  });
+  if (!acc.proven(range)) return false;
+  out = acc.result(init, range);
+  return true;
+}
+
+/// row[j] = row[j] -/+ q_mul(scale, u[j]) for j in [begin, end) through
+/// the scalar primitives (which count the saturations).
+template <bool kSubtract>
+void scalar_scaled_update(std::int32_t* row, std::int32_t scale,
+                          const std::int32_t* u, std::size_t begin,
+                          std::size_t end, Q20SatCounts& sat) noexcept {
+  for (std::size_t j = begin; j < end; ++j) {
+    const std::int32_t prod = q20detail::q_mul(scale, u[j], sat);
+    row[j] = kSubtract ? q20detail::q_sub(row[j], prod, sat)
+                       : q20detail::q_add(row[j], prod, sat);
+  }
+}
+
+/// The element-wise kernels' proof: q_mul(scale, u[j]) cannot saturate.
+inline bool products_fit(std::uint64_t abs_scale,
+                         std::uint64_t max_abs_u) noexcept {
+  return abs_scale * max_abs_u + static_cast<std::uint64_t>(kRoundBias) <
+         (std::uint64_t{1} << 51);
+}
+
+/// row[j] = row[j] -/+ q_mul(scale, u[j]) for j < n. When products_fit()
+/// no multiply saturates and its rounded value is bits [20, 52) of
+/// scale * u[j] + 2^19; a group whose int32 add/sub then overflows is
+/// recomputed through the scalar primitives before anything is stored.
+/// Otherwise the whole row takes the scalar path.
+template <bool kSubtract>
+void scaled_update(std::int32_t* row, std::int32_t scale,
+                   const std::int32_t* u, std::size_t n,
+                   std::uint64_t max_abs_u, Q20SatCounts& sat) noexcept {
+  if (!products_fit(abs_u64(scale), max_abs_u)) {
+    scalar_scaled_update<kSubtract>(row, scale, u, 0, n, sat);
+    return;
+  }
+  const __m256i sv = _mm256_set1_epi32(scale);
+  const __m256i bias = _mm256_set1_epi64x(kRoundBias);
+  for_each_group(n, [&](std::size_t j, std::size_t count) {
+    const __m256i r = load_group(row + j, count);
+    const __m256i m =
+        frac_words(offset_products(sv, load_group(u + j, count), bias));
+    const __m256i out =
+        kSubtract ? _mm256_sub_epi32(r, m) : _mm256_add_epi32(r, m);
+    // Signed overflow iff the result's sign differs from both operands'
+    // (add) or from the minuend's when the operands' signs differ (sub).
+    const __m256i overflow =
+        kSubtract ? _mm256_and_si256(_mm256_xor_si256(r, m),
+                                     _mm256_xor_si256(r, out))
+                  : _mm256_and_si256(_mm256_xor_si256(r, out),
+                                     _mm256_xor_si256(m, out));
+    if (any_sign(overflow)) {
+      scalar_scaled_update<kSubtract>(row, scale, u, j, j + count, sat);
+    } else {
+      store_group(row + j, count, out);
+    }
+  });
 }
 
 }  // namespace
@@ -390,19 +535,26 @@ void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,
                     Q20SatCounts& sat) noexcept {
-  std::size_t j = 0;
-  for (; j + 4 <= units; j += 4) {
-    __m256i acc = load4_epi64(init + j);
-    __m256i sticky = _mm256_setzero_si256();
+  const int k = proof_k(max_abs(init, units), rows);
+  if (k < 0) {
+    scalar::q20_hidden_mac(a, rows, units, x, init, out, relu, sat);
+    return;
+  }
+  // Each column is its own dot with seed init[j]; its 8-lane group sums the
+  // terms' w >> 20 in wrapping int32 lanes and removes rows * 2^k at the end.
+  const TermRange range = term_range(k);
+  const __m256i excess = _mm256_set1_epi32(static_cast<int>(rows) << k);
+  for_each_group(units, [&](std::size_t j, std::size_t count) {
+    __m256i acc = load_group(init + j, count);
+    __m256i bits = _mm256_setzero_si256();
     for (std::size_t i = 0; i < rows; ++i) {
-      const __m256i av = load4_epi64(a + i * units + j);
-      const __m256i xv = _mm256_set1_epi64x(x[i]);
-      acc = q20_add_vec(acc, q20_mul_vec(av, xv, sticky), sticky);
+      const Wide8 w = offset_products(load_group(a + i * units + j, count),
+                                      _mm256_set1_epi32(x[i]), range.offset);
+      bits = _mm256_or_si256(bits, _mm256_or_si256(w.even, w.odd));
+      acc = _mm256_add_epi32(acc, frac_words(w));
     }
-    if (any_set(sticky)) {
-      // A lane saturated: redo these 4 columns through the scalar
-      // primitives so the event counters match the reference.
-      for (std::size_t c = j; c < j + 4; ++c) {
+    if (_mm256_testz_si256(bits, range.outside) == 0) {
+      for (std::size_t c = j; c < j + count; ++c) {
         std::int32_t acc_c = init[c];
         for (std::size_t i = 0; i < rows; ++i) {
           acc_c = q20detail::q_add(
@@ -410,161 +562,95 @@ void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
         }
         out[c] = relu ? q20detail::q_relu(acc_c) : acc_c;
       }
-      continue;
+      return;
     }
-    if (relu) {
-      const __m256i negative =
-          _mm256_cmpgt_epi64(_mm256_setzero_si256(), acc);
-      acc = _mm256_andnot_si256(negative, acc);
-    }
-    store4_epi32(out + j, acc);
-  }
-  for (; j < units; ++j) {
-    std::int32_t acc = init[j];
-    for (std::size_t i = 0; i < rows; ++i) {
-      acc = q20detail::q_add(acc,
-                             q20detail::q_mul(x[i], a[i * units + j], sat),
-                             sat);
-    }
-    out[j] = relu ? q20detail::q_relu(acc) : acc;
-  }
+    acc = _mm256_sub_epi32(acc, excess);
+    if (relu) acc = _mm256_max_epi32(acc, _mm256_setzero_si256());
+    store_group(out + j, count, acc);
+  });
 }
 
 std::int32_t q20_dot(const std::int32_t* a, const std::int32_t* b,
                      std::size_t n, std::int32_t init,
                      Q20SatCounts& sat) noexcept {
-  __m256i pos = _mm256_setzero_si256();
-  __m256i neg = _mm256_setzero_si256();
-  __m256i sticky = _mm256_setzero_si256();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i prod =
-        q20_mul_vec(load4_epi64(a + j), load4_epi64(b + j), sticky);
-    accumulate_signed(prod, pos, neg);
+  const int k = proof_k(abs_u64(init), n);
+  std::int32_t out = 0;
+  if (k >= 0 && proven_dot(a, b, n, init, term_range(k), out)) return out;
+  return scalar::q20_dot(a, b, n, init, sat);
+}
+
+void q20_matvec(const std::int32_t* m, std::size_t n, const std::int32_t* x,
+                std::int32_t* y, Q20SatCounts& sat) noexcept {
+  const int k = proof_k(0, n);
+  if (k < 0) {
+    scalar::q20_matvec(m, n, x, y, sat);
+    return;
   }
-  Q20SatCounts tail_sat;
-  std::int64_t tail_pos = 0;
-  std::int64_t tail_neg = 0;
-  for (; j < n; ++j) {
-    const std::int32_t prod = q20detail::q_mul(a[j], b[j], tail_sat);
-    if (prod < 0) {
-      tail_neg += prod;
-    } else {
-      tail_pos += prod;
+  const TermRange range = term_range(k);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t* row = m + i * n;
+    if (!proven_dot(row, x, n, 0, range, y[i])) {
+      y[i] = scalar::q20_dot(row, x, n, 0, sat);
     }
   }
-  if (any_set(sticky) || tail_sat.mul != 0) {
-    return scalar::q20_dot(a, b, n, init, sat);
-  }
-  const std::int64_t pos_total = hsum64(pos) + tail_pos;
-  const std::int64_t neg_total = hsum64(neg) + tail_neg;
-  // Every prefix of the sequential sum lies in [init + neg_total,
-  // init + pos_total]; when that interval is inside the int32 range no
-  // per-step clamp can fire and the exact sum is the answer.
-  if (init + neg_total < q20detail::kRawMin ||
-      init + pos_total > q20detail::kRawMax) {
-    return scalar::q20_dot(a, b, n, init, sat);
-  }
-  return static_cast<std::int32_t>(init + pos_total + neg_total);
 }
 
 std::int32_t q20_action_dot(const std::int32_t* shared,
                             const std::int32_t* last_row, std::int32_t code,
                             const std::int32_t* beta, std::size_t units,
                             Q20SatCounts& sat) noexcept {
-  const __m256i codev = _mm256_set1_epi64x(code);
-  __m256i pos = _mm256_setzero_si256();
-  __m256i neg = _mm256_setzero_si256();
-  __m256i sticky = _mm256_setzero_si256();
-  std::size_t j = 0;
-  for (; j + 4 <= units; j += 4) {
-    const __m256i corr = q20_mul_vec(codev, load4_epi64(last_row + j), sticky);
-    __m256i h = q20_add_vec(load4_epi64(shared + j), corr, sticky);
-    h = _mm256_andnot_si256(_mm256_cmpgt_epi64(_mm256_setzero_si256(), h), h);
-    const __m256i prod = q20_mul_vec(h, load4_epi64(beta + j), sticky);
-    accumulate_signed(prod, pos, neg);
-  }
-  Q20SatCounts tail_sat;
-  std::int64_t tail_pos = 0;
-  std::int64_t tail_neg = 0;
-  for (; j < units; ++j) {
-    const std::int32_t h = q20detail::q_relu(q20detail::q_add(
-        shared[j], q20detail::q_mul(code, last_row[j], tail_sat), tail_sat));
-    const std::int32_t prod = q20detail::q_mul(h, beta[j], tail_sat);
-    if (prod < 0) {
-      tail_neg += prod;
-    } else {
-      tail_pos += prod;
-    }
-  }
-  if (any_set(sticky) || tail_sat.mul != 0 || tail_sat.add != 0) {
+  const int k = proof_k(0, units);
+  if (k < 0) {
     return scalar::q20_action_dot(shared, last_row, code, beta, units, sat);
   }
-  const std::int64_t pos_total = hsum64(pos) + tail_pos;
-  const std::int64_t neg_total = hsum64(neg) + tail_neg;
-  if (neg_total < q20detail::kRawMin || pos_total > q20detail::kRawMax) {
+  // h = relu(shared + code * last_row): the correction's rounded product
+  // fits int32 iff its w over the full int32 term range (k = 31) keeps
+  // bits 52+ clear, and then bits [20, 52) hold it plus 2^31; the add gets
+  // the signed-overflow test. The output MAC is the dot-style proof.
+  const TermRange word = term_range(31);
+  const TermRange range = term_range(k);
+  const __m256i codev = _mm256_set1_epi32(code);
+  const __m256i sign = _mm256_set1_epi32(std::numeric_limits<int>::min());
+  __m256i corr_bits = _mm256_setzero_si256();
+  __m256i overflow = _mm256_setzero_si256();
+  ProvenSum acc;
+  for_each_group(units, [&](std::size_t j, std::size_t count) {
+    const Wide8 w =
+        offset_products(codev, load_group(last_row + j, count), word.offset);
+    corr_bits = _mm256_or_si256(corr_bits, _mm256_or_si256(w.even, w.odd));
+    const __m256i corr = _mm256_xor_si256(frac_words(w), sign);
+    const __m256i s = load_group(shared + j, count);
+    const __m256i h = _mm256_add_epi32(s, corr);
+    overflow = _mm256_or_si256(
+        overflow, _mm256_and_si256(_mm256_xor_si256(s, h),
+                                   _mm256_xor_si256(corr, h)));
+    acc.add(_mm256_max_epi32(h, _mm256_setzero_si256()),
+            load_group(beta + j, count), range);
+  });
+  if (_mm256_testz_si256(corr_bits, word.outside) == 0 || any_sign(overflow) ||
+      !acc.proven(range)) {
     return scalar::q20_action_dot(shared, last_row, code, beta, units, sat);
   }
-  return static_cast<std::int32_t>(pos_total + neg_total);
+  return acc.result(0, range);
 }
 
 void q20_rank1_downdate(std::int32_t* p, std::size_t n,
                         const std::int32_t* u, std::int32_t inv,
                         std::int32_t* scaled_ws, Q20SatCounts& sat) noexcept {
   // The O(n) scaled vector goes through the scalar primitives (counted
-  // directly); the O(n^2) sweep is vectorized with a check-before-store
-  // fallback per 4-lane group.
+  // directly); each row of the O(n^2) sweep is range-proved on its own.
   for (std::size_t i = 0; i < n; ++i) {
     scaled_ws[i] = q20detail::q_mul(u[i], inv, sat);
   }
+  const std::uint64_t max_u = max_abs(u, n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t scaled = scaled_ws[i];
-    const __m256i sv = _mm256_set1_epi64x(scaled);
-    std::int32_t* row = p + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256i sticky = _mm256_setzero_si256();
-      const __m256i prod = q20_mul_vec(sv, load4_epi64(u + j), sticky);
-      const __m256i diff = _mm256_sub_epi64(load4_epi64(row + j), prod);
-      const __m256i result = sat32(diff, sticky);
-      if (any_set(sticky)) {
-        // Row values not yet overwritten: recompute the group scalar so
-        // the saturation counters stay exact.
-        for (std::size_t c = j; c < j + 4; ++c) {
-          row[c] = q20detail::q_sub(row[c],
-                                    q20detail::q_mul(scaled, u[c], sat), sat);
-        }
-        continue;
-      }
-      store4_epi32(row + j, result);
-    }
-    for (; j < n; ++j) {
-      row[j] = q20detail::q_sub(row[j], q20detail::q_mul(scaled, u[j], sat),
-                                sat);
-    }
+    scaled_update<true>(p + i * n, scaled_ws[i], u, n, max_u, sat);
   }
 }
 
 void q20_axpy(std::int32_t* y, std::int32_t a, const std::int32_t* x,
               std::size_t n, Q20SatCounts& sat) noexcept {
-  const __m256i av = _mm256_set1_epi64x(a);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m256i sticky = _mm256_setzero_si256();
-    const __m256i prod = q20_mul_vec(av, load4_epi64(x + j), sticky);
-    const __m256i sum = _mm256_add_epi64(load4_epi64(y + j), prod);
-    const __m256i result = sat32(sum, sticky);
-    if (any_set(sticky)) {
-      for (std::size_t c = j; c < j + 4; ++c) {
-        y[c] = q20detail::q_add(y[c], q20detail::q_mul(a, x[c], sat), sat);
-      }
-      continue;
-    }
-    store4_epi32(y + j, result);
-  }
-  for (; j < n; ++j) {
-    y[j] = q20detail::q_add(y[j], q20detail::q_mul(a, x[j], sat), sat);
-  }
+  scaled_update<false>(y, a, x, n, max_abs(x, n), sat);
 }
 
 void q20_quantize(const double* src, std::int32_t* dst, std::size_t n,
@@ -579,7 +665,9 @@ void q20_quantize(const double* src, std::int32_t* dst, std::size_t n,
     const __m256d scaled = _mm256_mul_pd(_mm256_loadu_pd(src + i), scale);
     const __m256d over = _mm256_cmp_pd(scaled, hi, _CMP_GE_OQ);
     const __m256d under = _mm256_cmp_pd(scaled, lo, _CMP_LE_OQ);
-    if (_mm256_movemask_pd(_mm256_or_pd(over, under)) != 0) {
+    const __m256d nan = _mm256_cmp_pd(scaled, scaled, _CMP_UNORD_Q);
+    if (_mm256_movemask_pd(_mm256_or_pd(_mm256_or_pd(over, under), nan)) !=
+        0) {
       for (std::size_t c = i; c < i + 4; ++c) {
         dst[c] = q20detail::q_from_double(src[c], sat);
       }

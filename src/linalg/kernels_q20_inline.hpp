@@ -1,12 +1,13 @@
 // Internal: scalar Q20 primitives shared by the kernel TUs.
 //
 // These replicate fixed::Q20 operator semantics exactly (round-to-nearest
-// multiply, saturating add/sub, saturating double conversion) on raw
-// int32 words, counting saturation events into kernels::Q20SatCounts.
-// Both the scalar reference kernels and the AVX2 tail/fallback paths use
-// them, so the two kernel sets can never drift apart.
+// multiply, saturating add/sub, saturating double conversion with NaN
+// mapped to 0) on raw int32 words, counting saturation events into
+// kernels::Q20SatCounts. Both the scalar reference kernels and the AVX2
+// fallback paths use them, so the two kernel sets can never drift apart.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -56,6 +57,10 @@ inline std::int32_t q_sub(std::int32_t a, std::int32_t b,
 inline std::int32_t q_relu(std::int32_t a) noexcept { return a < 0 ? 0 : a; }
 
 inline std::int32_t q_from_double(double value, Q20SatCounts& sat) noexcept {
+  if (std::isnan(value)) {  // no int32 value: 0, counted as a conversion
+    ++sat.conversion;
+    return 0;
+  }
   const double scaled = value * 1048576.0;  // 2^20
   if (scaled >= 2147483647.0) {
     ++sat.conversion;

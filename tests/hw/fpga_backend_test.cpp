@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "env/registry.hpp"
+#include "fixed/overflow_stats.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/svd.hpp"
+#include "rl/backend_registry.hpp"
+#include "rl/oselm_q_agent.hpp"
+#include "rl/trainer.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -375,6 +381,89 @@ TEST(FpgaBackend, ValidatesShapes) {
                std::invalid_argument);
   EXPECT_THROW(backend.init_train(linalg::MatD(4, 3), linalg::MatD(4, 1)),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel-set independence: the FPGA model trains CartPole to the same
+// trajectory, the same raw beta/P words and the same saturation telemetry
+// whether its Q20 kernels run on the AVX2 set or the scalar reference.
+// ---------------------------------------------------------------------------
+
+struct FpgaRun {
+  rl::TrainResult result;
+  std::vector<std::int32_t> beta_words;
+  std::vector<std::int32_t> p_words;
+  fixed::OverflowStats overflow;
+};
+
+std::vector<std::int32_t> raw_words(const FixedMat& m) {
+  std::vector<std::int32_t> words;
+  words.reserve(m.size());
+  for (const Q& q : m.storage()) words.push_back(q.raw());
+  return words;
+}
+
+FpgaRun run_fpga_cartpole(bool simd, double l2_delta) {
+  linalg::kernels::set_simd_enabled(simd);
+  fixed::overflow_stats().reset();
+
+  rl::BackendConfig backend_config;
+  backend_config.input_dim = 5;
+  backend_config.hidden_units = 32;
+  backend_config.l2_delta = l2_delta;
+  backend_config.seed = 77;
+  rl::OsElmQAgent agent(rl::make_backend("fpga-q20", backend_config),
+                        rl::SimplifiedOutputModel(4, 2), {}, 78,
+                        "fpga-simd-pin");
+  const auto env = env::make_environment("CartPole-v0", 79);
+
+  rl::TrainerConfig trainer;
+  trainer.max_episodes = 80;
+  trainer.reset_interval = 0;
+  trainer.solved_threshold = 1e9;  // the full horizon, solved or not
+
+  FpgaRun out;
+  out.result = rl::run_training(agent, *env, trainer);
+  const auto& backend =
+      dynamic_cast<const FpgaOsElmBackend&>(agent.backend());
+  out.beta_words = raw_words(backend.beta_fixed());
+  out.p_words = raw_words(backend.p_fixed());
+  out.overflow = fixed::overflow_stats();
+  linalg::kernels::reset_simd_override();
+  return out;
+}
+
+void expect_identical_runs(const FpgaRun& scalar, const FpgaRun& simd) {
+  EXPECT_EQ(scalar.result.episode_steps, simd.result.episode_steps);
+  EXPECT_EQ(scalar.result.total_steps, simd.result.total_steps);
+  EXPECT_EQ(scalar.beta_words, simd.beta_words);
+  EXPECT_EQ(scalar.p_words, simd.p_words);
+  EXPECT_EQ(scalar.overflow.add_saturations, simd.overflow.add_saturations);
+  EXPECT_EQ(scalar.overflow.mul_saturations, simd.overflow.mul_saturations);
+  EXPECT_EQ(scalar.overflow.div_saturations, simd.overflow.div_saturations);
+  EXPECT_EQ(scalar.overflow.div_by_zero, simd.overflow.div_by_zero);
+  EXPECT_EQ(scalar.overflow.conversion_saturations,
+            simd.overflow.conversion_saturations);
+}
+
+TEST(FpgaSimdDispatchProperty, CartPoleRunIsBitIdenticalAcrossKernelSets) {
+  if (!linalg::kernels::simd_available()) GTEST_SKIP() << "no SIMD set";
+  const FpgaRun scalar = run_fpga_cartpole(false, 0.5);
+  const FpgaRun simd = run_fpga_cartpole(true, 0.5);
+  ASSERT_GT(scalar.result.total_steps, 0u);
+  expect_identical_runs(scalar, simd);
+}
+
+TEST(FpgaSimdDispatchProperty, SaturatingRunIsBitIdenticalAcrossKernelSets) {
+  // A near-zero ridge makes P0 = (H^T H + delta I)^-1 overflow Q20, so the
+  // kernels' scalar fallbacks run throughout training.
+  if (!linalg::kernels::simd_available()) GTEST_SKIP() << "no SIMD set";
+  const FpgaRun scalar = run_fpga_cartpole(false, 1e-6);
+  const FpgaRun simd = run_fpga_cartpole(true, 1e-6);
+  ASSERT_GT(scalar.overflow.add_saturations + scalar.overflow.mul_saturations,
+            0u)
+      << "the configuration no longer saturates the kernels";
+  expect_identical_runs(scalar, simd);
 }
 
 }  // namespace

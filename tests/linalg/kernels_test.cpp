@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "fixed/fixed_point.hpp"
@@ -510,16 +512,25 @@ TEST_F(Q20KernelTest, ActionDotIsBitExactIncludingSaturation) {
 TEST_F(Q20KernelTest, MatvecIsBitExact) {
   util::Rng rng(13);
   for (const std::size_t n : kSizes) {
-    const auto m = random_q20(n * n, rng);
-    const auto x = random_q20(n, rng);
-    std::vector<std::int32_t> y_simd(n, 0);
-    std::vector<std::int32_t> y_ref(n, 0);
-    Q20SatCounts sat_simd;
-    Q20SatCounts sat_ref;
-    q20_matvec(m.data(), n, x.data(), y_simd.data(), sat_simd);
-    scalar::q20_matvec(m.data(), n, x.data(), y_ref.data(), sat_ref);
-    EXPECT_EQ(y_simd, y_ref) << "n=" << n;
-    expect_sat_eq(sat_simd, sat_ref, "q20_matvec", n);
+    for (const bool extreme : {false, true}) {
+      auto m = random_q20(n * n, rng);
+      if (extreme) {
+        // Saturate every other row so proved and fallback rows interleave.
+        const auto hot = extreme_q20(n * n, rng);
+        for (std::size_t i = 0; i < n; i += 2) {
+          std::copy_n(hot.begin() + i * n, n, m.begin() + i * n);
+        }
+      }
+      const auto x = extreme ? extreme_q20(n, rng) : random_q20(n, rng);
+      std::vector<std::int32_t> y_simd(n, 0);
+      std::vector<std::int32_t> y_ref(n, 0);
+      Q20SatCounts sat_simd;
+      Q20SatCounts sat_ref;
+      q20_matvec(m.data(), n, x.data(), y_simd.data(), sat_simd);
+      scalar::q20_matvec(m.data(), n, x.data(), y_ref.data(), sat_ref);
+      EXPECT_EQ(y_simd, y_ref) << "n=" << n << " extreme=" << extreme;
+      expect_sat_eq(sat_simd, sat_ref, "q20_matvec", n);
+    }
   }
 }
 
@@ -567,14 +578,193 @@ TEST_F(Q20KernelTest, AxpyIsBitExactIncludingSaturation) {
   }
 }
 
+// -- Edges of the AVX2 range proofs. Every case runs the dispatched kernel
+// against the scalar reference; whichever side of a proof a case lands on,
+// values and counters must match.
+
+constexpr std::int32_t kOneRaw = std::int32_t{1} << 20;
+constexpr std::int32_t kMaxRaw = std::numeric_limits<std::int32_t>::max();
+constexpr std::int32_t kMinRaw = std::numeric_limits<std::int32_t>::min();
+// 2^19 * 255 * (257 * 65537) = 2^51 - 2^19: the rounded product is 2^31,
+// one past kMaxRaw. One less in the second factor rounds to 2^31 - 128.
+constexpr std::int32_t kEdgeA = 133693440;  // 2^19 * 255
+constexpr std::int32_t kEdgeB = 16843009;   // 257 * 65537
+
+void expect_dot_exact(const std::vector<std::int32_t>& a,
+                      const std::vector<std::int32_t>& b, std::int32_t init,
+                      const char* what) {
+  Q20SatCounts sat_simd;
+  Q20SatCounts sat_ref;
+  const std::int32_t got = q20_dot(a.data(), b.data(), a.size(), init,
+                                   sat_simd);
+  const std::int32_t want =
+      scalar::q20_dot(a.data(), b.data(), a.size(), init, sat_ref);
+  EXPECT_EQ(got, want) << what << " init=" << init;
+  expect_sat_eq(sat_simd, sat_ref, what, a.size());
+}
+
+TEST_F(Q20KernelTest, DotPrefixOnTheRawLimitsIsBitExact) {
+  for (const std::size_t n : {8, 9, 64}) {
+    const std::vector<std::int32_t> ones(n, kOneRaw);  // term == a[j]
+    std::vector<std::int32_t> up(n);
+    std::int64_t total = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      up[j] = 1000 + static_cast<std::int32_t>(j);
+      total += up[j];
+    }
+    std::vector<std::int32_t> down(n);
+    std::transform(up.begin(), up.end(), down.begin(),
+                   [](std::int32_t v) { return -v; });
+    const auto max_seed = static_cast<std::int32_t>(kMaxRaw - total);
+    const auto min_seed = static_cast<std::int32_t>(kMinRaw + total);
+    // The last prefix lands exactly on a limit, or one past it.
+    expect_dot_exact(up, ones, max_seed, "final prefix == kRawMax");
+    expect_dot_exact(up, ones, max_seed + 1, "final prefix > kRawMax");
+    expect_dot_exact(down, ones, min_seed, "final prefix == kRawMin");
+    expect_dot_exact(down, ones, min_seed - 1, "final prefix < kRawMin");
+    // A middle prefix touches (or clips at) the limit, then falls back.
+    std::vector<std::int32_t> peak = up;
+    std::fill(peak.begin() + static_cast<std::ptrdiff_t>(n / 2), peak.end(),
+              -5000);
+    std::int64_t rise = 0;
+    for (std::size_t j = 0; j < n / 2; ++j) rise += peak[j];
+    const auto peak_seed = static_cast<std::int32_t>(kMaxRaw - rise);
+    expect_dot_exact(peak, ones, peak_seed, "middle prefix == kRawMax");
+    expect_dot_exact(peak, ones, peak_seed + 1, "middle prefix > kRawMax");
+
+    // Seeds at the proof's own bound, |init| + n * 2^k == INT32_MAX, with
+    // terms on either side of [-2^k, 2^k).
+    for (const int k : {10, 20}) {
+      const std::int32_t step = std::int32_t{1} << k;
+      const auto seed = static_cast<std::int32_t>(
+          kMaxRaw - static_cast<std::int64_t>(n) * step);
+      for (const std::int32_t term : {step - 1, step, step + 1, -step,
+                                      -step - 1}) {
+        const std::vector<std::int32_t> terms(n, term);
+        expect_dot_exact(terms, ones, seed, "seed at the proof bound");
+        expect_dot_exact(terms, ones, -seed, "negative seed at the bound");
+      }
+    }
+  }
+}
+
+TEST_F(Q20KernelTest, SeedsNearTheLimitsAreBitExact) {
+  util::Rng rng(17);
+  for (const std::size_t n : kSizes) {
+    for (const std::int32_t init :
+         {kMaxRaw, kMaxRaw - 5, kMinRaw, kMinRaw + 5, kMaxRaw / 2,
+          kMinRaw / 2}) {
+      const auto a = random_q20(n, rng, -40.0, 40.0);
+      const auto b = random_q20(n, rng, -40.0, 40.0);
+      expect_dot_exact(a, b, init, "q20_dot seed near the limits");
+    }
+    // Hidden MAC: one column seeded at a limit (no proof for the whole
+    // call) or just inside it (a small k for every group).
+    constexpr std::size_t kRows = 5;
+    const auto a = random_q20(kRows * n, rng, -40.0, 40.0);
+    const auto x = random_q20(kRows, rng, -40.0, 40.0);
+    for (const std::int32_t edge : {kMaxRaw, kMinRaw, kMaxRaw - 3000}) {
+      auto init = random_q20(n, rng);
+      init[n / 2] = edge;
+      std::vector<std::int32_t> out_simd(n, 0);
+      std::vector<std::int32_t> out_ref(n, 0);
+      Q20SatCounts sat_simd;
+      Q20SatCounts sat_ref;
+      q20_hidden_mac(a.data(), kRows, n, x.data(), init.data(),
+                     out_simd.data(), false, sat_simd);
+      scalar::q20_hidden_mac(a.data(), kRows, n, x.data(), init.data(),
+                             out_ref.data(), false, sat_ref);
+      EXPECT_EQ(out_simd, out_ref) << "n=" << n << " edge=" << edge;
+      expect_sat_eq(sat_simd, sat_ref, "q20_hidden_mac seed", n);
+    }
+  }
+}
+
+TEST_F(Q20KernelTest, ProductRoundingEdgeIsBitExact) {
+  // q20_dot: one edge product alone, and amid small terms.
+  for (const std::int32_t b : {kEdgeB, kEdgeB - 1, -kEdgeB, -kEdgeB - 1}) {
+    expect_dot_exact({kEdgeA}, {b}, 0, "edge product");
+    std::vector<std::int32_t> a(11, 3 * kOneRaw);
+    std::vector<std::int32_t> bs(11, kOneRaw / 4);
+    a[9] = kEdgeA;
+    bs[9] = b;
+    expect_dot_exact(a, bs, 0, "edge product in the tail group");
+  }
+
+  // q20_axpy / q20_rank1_downdate: the product sits at the edge of the
+  // element-wise proof, and the add/sub lands on or one past a limit.
+  const std::int32_t near_max = kEdgeB - 1;  // kEdgeA * near_max -> 2^31 - 128
+  for (const std::int32_t big : {near_max, kEdgeB}) {
+    for (const std::int32_t slack : {127, 128}) {
+      std::vector<std::int32_t> x(17, kOneRaw / 8);
+      x[1] = big;
+      x[12] = -big;
+      std::vector<std::int32_t> y0(17, 5);
+      y0[1] = slack;
+      y0[12] = -slack;
+      std::vector<std::int32_t> y_simd = y0;
+      std::vector<std::int32_t> y_ref = y0;
+      Q20SatCounts sat_simd;
+      Q20SatCounts sat_ref;
+      q20_axpy(y_simd.data(), kEdgeA, x.data(), x.size(), sat_simd);
+      scalar::q20_axpy(y_ref.data(), kEdgeA, x.data(), x.size(), sat_ref);
+      EXPECT_EQ(y_simd, y_ref) << "big=" << big << " slack=" << slack;
+      expect_sat_eq(sat_simd, sat_ref, "q20_axpy edge", x.size());
+
+      // inv == 1.0 makes scaled == u: row 0 scales by `big` against
+      // max|u| == kEdgeA, row 1 by kEdgeA itself (always saturating).
+      const std::vector<std::int32_t> u = {big,     kEdgeA, 5, -7, kOneRaw,
+                                           -kOneRaw, 3,     2, 1};
+      const std::size_t n = u.size();
+      std::vector<std::int32_t> p0(n * n, kOneRaw);
+      p0[1] = -slack;  // p(0, 1) -= 2^31 - 128 (or more)
+      p0[8] = slack;   // tail group
+      std::vector<std::int32_t> p_simd = p0;
+      std::vector<std::int32_t> p_ref = p0;
+      std::vector<std::int32_t> ws_simd(n, 0);
+      std::vector<std::int32_t> ws_ref(n, 0);
+      Q20SatCounts dd_simd;
+      Q20SatCounts dd_ref;
+      q20_rank1_downdate(p_simd.data(), n, u.data(), kOneRaw, ws_simd.data(),
+                         dd_simd);
+      scalar::q20_rank1_downdate(p_ref.data(), n, u.data(), kOneRaw,
+                                 ws_ref.data(), dd_ref);
+      EXPECT_EQ(p_simd, p_ref) << "big=" << big << " slack=" << slack;
+      expect_sat_eq(dd_simd, dd_ref, "q20_rank1_downdate edge", n);
+    }
+  }
+
+  // q20_action_dot: code * last_row at the edge, shared landing the sum on
+  // or one past kRawMax.
+  for (const std::int32_t big : {near_max, kEdgeB}) {
+    for (const std::int32_t slack : {127, 128}) {
+      std::vector<std::int32_t> shared(9, kOneRaw / 2);
+      std::vector<std::int32_t> last(9, kOneRaw / 4);
+      const std::vector<std::int32_t> beta(9, 1 << 6);
+      shared[2] = slack;
+      last[2] = big;
+      Q20SatCounts sat_simd;
+      Q20SatCounts sat_ref;
+      const std::int32_t got = q20_action_dot(
+          shared.data(), last.data(), kEdgeA, beta.data(), 9, sat_simd);
+      const std::int32_t want = scalar::q20_action_dot(
+          shared.data(), last.data(), kEdgeA, beta.data(), 9, sat_ref);
+      EXPECT_EQ(got, want) << "big=" << big << " slack=" << slack;
+      expect_sat_eq(sat_simd, sat_ref, "q20_action_dot edge", 9);
+    }
+  }
+}
+
 TEST_F(Q20KernelTest, QuantizeRoundTripIsBitExactIncludingSaturation) {
   util::Rng rng(16);
   for (const std::size_t n : kSizes) {
     std::vector<double> src(n);
     for (std::size_t i = 0; i < n; ++i) {
-      // Mix healthy values with ones beyond the Q20 range (|x| < 2048).
+      // Mix healthy values with ones beyond the Q20 range (|x| < 2048)
+      // and NaNs (raw 0, counted as conversions).
       src[i] = rng.bernoulli(0.25) ? rng.uniform(-9000.0, 9000.0)
                                    : rng.uniform(-2.0, 2.0);
+      if (i % 5 == 3) src[i] = std::numeric_limits<double>::quiet_NaN();
     }
     std::vector<std::int32_t> q_simd(n, 0);
     std::vector<std::int32_t> q_ref(n, 0);
@@ -584,10 +774,17 @@ TEST_F(Q20KernelTest, QuantizeRoundTripIsBitExactIncludingSaturation) {
     scalar::q20_quantize(src.data(), q_ref.data(), n, sat_ref);
     EXPECT_EQ(q_simd, q_ref) << "n=" << n;
     expect_sat_eq(sat_simd, sat_ref, "q20_quantize", n);
-    // Quantize must agree with fixed::Q20::from_double itself.
+    // Quantize must agree with fixed::Q20::from_double itself, counters
+    // included.
+    fixed::overflow_stats().reset();
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(q_ref[i], fixed::Q20::from_double(src[i]).raw()) << i;
+      if (std::isnan(src[i])) {
+        EXPECT_EQ(q_ref[i], 0) << i;
+      }
     }
+    EXPECT_EQ(fixed::overflow_stats().conversion_saturations,
+              sat_ref.conversion);
 
     std::vector<double> d_simd(n, 0.0);
     std::vector<double> d_ref(n, 0.0);
