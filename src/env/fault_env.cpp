@@ -1,6 +1,5 @@
 #include "env/fault_env.hpp"
 
-#include <cstdio>
 #include <thread>
 #include <utility>
 
@@ -24,53 +23,33 @@ std::string_view to_string(FaultKind kind) noexcept {
 
 std::string_view fault_kinds() noexcept { return "drop|reorder|throw|spike"; }
 
-std::vector<bool> fault_schedule_preview(double rate, std::uint64_t seed,
-                                         std::size_t draws) {
-  util::Rng rng(seed);
-  std::vector<bool> schedule(draws);
-  for (std::size_t i = 0; i < draws; ++i) schedule[i] = rng.bernoulli(rate);
-  return schedule;
+std::optional<FaultKind> parse_fault_kind(std::string_view text) noexcept {
+  for (const FaultKind kind : {FaultKind::kDrop, FaultKind::kReorder,
+                               FaultKind::kThrow, FaultKind::kSpike}) {
+    if (to_string(kind) == text) return kind;
+  }
+  return std::nullopt;
 }
-
-namespace {
-
-std::string format_rate(double rate) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", rate);
-  return buffer;
-}
-
-}  // namespace
 
 FaultEnv::FaultEnv(EnvironmentPtr inner, FaultKind kind, double rate,
                    std::uint64_t seed, std::chrono::microseconds spike)
     : inner_(std::move(inner)),
       kind_(kind),
-      rate_(rate),
-      seed_(seed),
       spike_(spike),
-      fault_rng_(seed) {
+      schedule_(rate, seed, "FaultEnv") {
   if (!inner_) throw std::invalid_argument("FaultEnv: null inner env");
-  if (!(rate_ >= 0.0 && rate_ <= 1.0)) {
-    throw std::invalid_argument("FaultEnv: rate " + format_rate(rate_) +
-                                " outside [0, 1]");
-  }
   if (spike_.count() < 0) {
     throw std::invalid_argument("FaultEnv: negative spike duration");
   }
-  name_ = "fault:" + std::string(to_string(kind_)) + ":" +
-          format_rate(rate_) + ":" + std::to_string(seed_) + ":" +
-          std::string(inner_->name());
+  name_ = util::format_fault_id(to_string(kind_), rate, seed, inner_->name());
 }
 
 bool FaultEnv::draw_fault() {
-  ++calls_;
   // The schedule stream is consumed on EVERY call — even kinds that treat
   // a firing reset as a no-op — so the decision sequence stays aligned
-  // with fault_schedule_preview() regardless of kind.
-  const bool fired = fault_rng_.bernoulli(rate_);
+  // with util::fault_schedule_preview() regardless of kind.
+  const bool fired = schedule_.draw();
   if (fired) {
-    ++fault_count_;
     switch (kind_) {
       case FaultKind::kDrop:
         OSELM_TRACE_INSTANT("fault", "env_drop");
@@ -91,7 +70,8 @@ bool FaultEnv::draw_fault() {
 
 void FaultEnv::throw_fault(const char* call) {
   throw FaultInjected("FaultEnv: injected failure on " + std::string(call) +
-                      " #" + std::to_string(calls_) + " of '" + name_ + "'");
+                      " #" + std::to_string(schedule_.calls()) + " of '" +
+                      name_ + "'");
 }
 
 void FaultEnv::seed(std::uint64_t seed_value) {
@@ -99,7 +79,7 @@ void FaultEnv::seed(std::uint64_t seed_value) {
   // Rewind the fault stream to ITS OWN seed: reseeding the dynamics must
   // reproduce the whole run, faults included, and the env seed must never
   // leak into the fault schedule.
-  fault_rng_ = util::Rng(seed_);
+  schedule_.rewind();
 }
 
 Observation FaultEnv::reset() {

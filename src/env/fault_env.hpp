@@ -3,16 +3,12 @@
 // The serving stack is built for edge deployments where environments
 // misbehave: sensors drop frames, telemetry arrives out of order, remote
 // simulators throw, and I/O latency spikes. FaultEnv decorates any
-// Environment with exactly those failure modes, driven by a DEDICATED
-// util::Rng stream so the schedule is a pure function of (rate, seed):
-//
-//   * the fault generator never draws from — and never perturbs — the
-//     wrapped environment's rng, so the inner dynamics under a given
-//     env seed are bit-identical with and without the wrapper;
-//   * the same (rate, seed) pair produces the same fire/no-fire decision
-//     sequence on every run and platform (util::Rng is platform-stable);
-//     fault_schedule_preview() exposes that sequence so tests and the
-//     scenario layer can pin it without stepping an environment.
+// Environment with exactly those failure modes, fired by a
+// util::FaultSchedule (util/fault.hpp): a dedicated stream that never
+// perturbs the wrapped environment's rng, so the inner dynamics under a
+// given env seed are bit-identical with and without the wrapper, and
+// util::fault_schedule_preview() pins the fire sequence without stepping
+// an environment.
 //
 // One bernoulli(rate) decision is drawn per reset() AND per step(), in
 // call order. What a firing fault does depends on the kind:
@@ -42,12 +38,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "env/environment.hpp"
-#include "util/rng.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::env {
 
@@ -67,19 +64,17 @@ enum class FaultKind { kDrop, kReorder, kThrow, kSpike };
 /// order — the single source for registry error messages and docs.
 [[nodiscard]] std::string_view fault_kinds() noexcept;
 
-/// The exact fire/no-fire sequence a FaultEnv built with (rate, seed)
-/// will draw over its next `draws` reset()/step() calls. This IS the
-/// schedule contract: element k equals the decision of the k-th call
-/// after construction (or after seed(), which rewinds the stream).
-[[nodiscard]] std::vector<bool> fault_schedule_preview(double rate,
-                                                       std::uint64_t seed,
-                                                       std::size_t draws);
+/// The kind whose to_string() is `text`, if any.
+[[nodiscard]] std::optional<FaultKind> parse_fault_kind(
+    std::string_view text) noexcept;
 
 class FaultEnv final : public Environment {
  public:
   /// `rate` in [0, 1] is the per-call fault probability; `seed` fixes the
   /// fault schedule (independent of the inner environment's seed);
-  /// `spike` is the kSpike sleep duration (other kinds ignore it).
+  /// `spike` is the kSpike sleep duration (other kinds ignore it). Element
+  /// k of util::fault_schedule_preview(rate, seed, n) is the decision of
+  /// the k-th reset()/step() after construction or seed().
   FaultEnv(EnvironmentPtr inner, FaultKind kind, double rate,
            std::uint64_t seed,
            std::chrono::microseconds spike = kDefaultSpike);
@@ -103,36 +98,34 @@ class FaultEnv final : public Environment {
   }
 
   [[nodiscard]] FaultKind kind() const noexcept { return kind_; }
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-  [[nodiscard]] std::uint64_t fault_seed() const noexcept { return seed_; }
+  [[nodiscard]] double rate() const noexcept { return schedule_.rate(); }
+  [[nodiscard]] std::uint64_t fault_seed() const noexcept {
+    return schedule_.seed();
+  }
   [[nodiscard]] std::chrono::microseconds spike_duration() const noexcept {
     return spike_;
   }
   /// Faults injected so far (draws that fired, across resets and steps).
   [[nodiscard]] std::uint64_t fault_count() const noexcept {
-    return fault_count_;
+    return schedule_.fired();
   }
 
   static constexpr std::chrono::microseconds kDefaultSpike{5000};
 
  private:
-  /// One schedule draw; counts and returns whether this call faults.
+  /// One schedule draw; traces and returns whether this call faults.
   bool draw_fault();
   void throw_fault(const char* call);
 
   EnvironmentPtr inner_;
   FaultKind kind_;
-  double rate_;
-  std::uint64_t seed_;
   std::chrono::microseconds spike_;
-  util::Rng fault_rng_;
+  util::FaultSchedule schedule_;  ///< one draw per reset()/step()
   std::string name_;
 
-  std::uint64_t fault_count_ = 0;
-  std::uint64_t calls_ = 0;          ///< reset+step calls (error messages)
-  Observation last_delivered_;       ///< stale frame for kDrop/kReorder
-  Observation held_;                 ///< in-flight frame while lagging
-  bool lagging_ = false;             ///< kReorder one-frame lag active
+  Observation last_delivered_;  ///< stale frame for kDrop/kReorder
+  Observation held_;            ///< in-flight frame while lagging
+  bool lagging_ = false;        ///< kReorder one-frame lag active
   bool has_delivered_ = false;
 };
 

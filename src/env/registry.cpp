@@ -1,11 +1,11 @@
 #include "env/registry.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "env/acrobot.hpp"
 #include "env/cartpole.hpp"
@@ -14,14 +14,11 @@
 #include "env/latency_env.hpp"
 #include "env/mountain_car.hpp"
 #include "env/shaping.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::env {
 
 namespace {
-
-EnvironmentPtr make_inner(const std::string& outer_id,
-                          const std::string& inner_id,
-                          std::uint64_t seed_value);
 
 /// Parses "delay:<micros>:<inner-id>" and builds the wrapped environment.
 /// `id` is known to start with "delay:".
@@ -34,118 +31,33 @@ EnvironmentPtr make_delayed(const std::string& id, std::uint64_t seed_value) {
         "make_environment: malformed delay id '" + id +
         "' (expected delay:<micros>:<inner-id>)");
   }
-  std::uint64_t micros = 0;
   // One hour per step is already absurd; the bound doubles as an
   // overflow guard so an over-long field throws instead of wrapping.
   constexpr std::uint64_t kMaxDelayMicros = 3'600'000'000;
-  for (std::size_t i = micros_begin; i < sep; ++i) {
-    const char c = id[i];
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(
-          "make_environment: non-numeric delay in '" + id + "'");
-    }
-    micros = micros * 10 + static_cast<std::uint64_t>(c - '0');
-    if (micros > kMaxDelayMicros) {
-      throw std::invalid_argument(
-          "make_environment: delay in '" + id + "' exceeds " +
-          std::to_string(kMaxDelayMicros) + " us");
-    }
-  }
-  EnvironmentPtr inner = make_inner(id, id.substr(sep + 1), seed_value);
+  const std::uint64_t micros = util::parse_unsigned_field(
+      std::string_view(id).substr(micros_begin, sep - micros_begin),
+      kMaxDelayMicros, std::to_string(kMaxDelayMicros) + " us",
+      "make_environment", "delay", id);
+  EnvironmentPtr inner = util::with_outer_id(
+      id, [&] { return make_environment(id.substr(sep + 1), seed_value); });
   return std::make_unique<LatencyEnv>(std::move(inner),
                                       std::chrono::microseconds(micros));
-}
-
-/// Builds the inner environment for a modifier id, surfacing the FULL
-/// outer id on nested failure — callers built the outer string, and an
-/// error naming only the innermost fragment is undebuggable from their
-/// logs. Shared by every modifier family for reporting parity.
-EnvironmentPtr make_inner(const std::string& outer_id,
-                          const std::string& inner_id,
-                          std::uint64_t seed_value) {
-  try {
-    return make_environment(inner_id, seed_value);
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    if (what.find("'" + outer_id + "'") != std::string::npos) throw;
-    throw std::invalid_argument(what + " (inside modifier id '" + outer_id +
-                                "')");
-  }
 }
 
 /// Parses "fault:<kind>:<rate>:<seed>:<inner-id>" and builds the wrapped
 /// environment. `id` is known to start with "fault:".
 EnvironmentPtr make_faulted(const std::string& id, std::uint64_t seed_value) {
-  const auto malformed = [&id]() {
-    return std::invalid_argument(
-        "make_environment: malformed fault id '" + id +
-        "' (expected fault:<kind>:<rate>:<seed>:<inner-id>)");
-  };
-  const std::size_t kind_begin = 6;  // past "fault:"
-  const std::size_t kind_end = id.find(':', kind_begin);
-  if (kind_end == std::string::npos) throw malformed();
-  const std::size_t rate_begin = kind_end + 1;
-  const std::size_t rate_end = id.find(':', rate_begin);
-  if (rate_end == std::string::npos) throw malformed();
-  const std::size_t seed_begin = rate_end + 1;
-  const std::size_t seed_end = id.find(':', seed_begin);
-  if (seed_end == std::string::npos || seed_end + 1 == id.size()) {
-    throw malformed();
-  }
-
-  const std::string kind_text = id.substr(kind_begin, kind_end - kind_begin);
-  FaultKind kind;
-  if (kind_text == "drop") {
-    kind = FaultKind::kDrop;
-  } else if (kind_text == "reorder") {
-    kind = FaultKind::kReorder;
-  } else if (kind_text == "throw") {
-    kind = FaultKind::kThrow;
-  } else if (kind_text == "spike") {
-    kind = FaultKind::kSpike;
-  } else {
-    // The valid-kind listing comes from fault_kinds() — the same single
-    // source the docs use — for parity with how unknown env ids report
-    // the registered alternatives below.
+  const util::FaultId parsed = util::parse_fault_id(id, "make_environment");
+  const std::optional<FaultKind> kind = parse_fault_kind(parsed.kind);
+  if (!kind) {
     throw std::invalid_argument(
-        "make_environment: unknown fault kind '" + kind_text + "' in '" +
+        "make_environment: unknown fault kind '" + parsed.kind + "' in '" +
         id + "' (expected " + std::string(fault_kinds()) + ")");
   }
-
-  const std::string rate_text = id.substr(rate_begin, rate_end - rate_begin);
-  if (rate_text.empty()) throw malformed();
-  errno = 0;
-  char* rate_tail = nullptr;
-  const double rate = std::strtod(rate_text.c_str(), &rate_tail);
-  if (errno != 0 || rate_tail == rate_text.c_str() || *rate_tail != '\0' ||
-      !(rate >= 0.0 && rate <= 1.0)) {
-    throw std::invalid_argument(
-        "make_environment: fault rate '" + rate_text + "' in '" + id +
-        "' is not a number in [0, 1]");
-  }
-
-  std::uint64_t fault_seed = 0;
-  if (seed_end == seed_begin) throw malformed();
-  constexpr std::uint64_t kMaxSeed = UINT64_MAX;
-  for (std::size_t i = seed_begin; i < seed_end; ++i) {
-    const char c = id[i];
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(
-          "make_environment: non-numeric fault seed in '" + id + "'");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (fault_seed > (kMaxSeed - digit) / 10) {
-      throw std::invalid_argument(
-          "make_environment: fault seed in '" + id +
-          "' exceeds 64 bits");
-    }
-    fault_seed = fault_seed * 10 + digit;
-  }
-
-  EnvironmentPtr inner =
-      make_inner(id, id.substr(seed_end + 1), seed_value);
-  return std::make_unique<FaultEnv>(std::move(inner), kind, rate,
-                                    fault_seed);
+  EnvironmentPtr inner = util::with_outer_id(
+      id, [&] { return make_environment(parsed.inner_id, seed_value); });
+  return std::make_unique<FaultEnv>(std::move(inner), *kind, parsed.rate,
+                                    parsed.seed);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "rl/fault_backend.hpp"
 
-#include <cstdio>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -23,28 +22,24 @@ std::string_view to_string(BackendFaultKind kind) noexcept {
 
 std::string_view backend_fault_kinds() noexcept { return "throw|stall|nan"; }
 
-std::vector<bool> backend_fault_schedule_preview(double rate,
-                                                 std::uint64_t seed,
-                                                 std::size_t draws) {
-  util::Rng rng(seed);
-  std::vector<bool> schedule(draws);
-  for (std::size_t i = 0; i < draws; ++i) schedule[i] = rng.bernoulli(rate);
-  return schedule;
+std::optional<BackendFaultKind> parse_backend_fault_kind(
+    std::string_view text) noexcept {
+  for (const BackendFaultKind kind :
+       {BackendFaultKind::kThrow, BackendFaultKind::kStall,
+        BackendFaultKind::kNan}) {
+    if (to_string(kind) == text) return kind;
+  }
+  return std::nullopt;
 }
 
 namespace {
-
-std::string format_rate(double rate) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", rate);
-  return buffer;
-}
 
 constexpr double kQuietNan = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
-FaultBackend::FaultBackend(OsElmQBackendPtr inner, BackendFaultKind kind,
+FaultBackend::FaultBackend(OsElmQBackendPtr inner,
+                           const std::string& inner_id, BackendFaultKind kind,
                            double rate, std::uint64_t seed,
                            std::chrono::microseconds stall)
     // Charge the inner backend's ledger: the decorator adds failure
@@ -52,16 +47,11 @@ FaultBackend::FaultBackend(OsElmQBackendPtr inner, BackendFaultKind kind,
     : OsElmQBackend(inner ? inner->ledger_ptr() : nullptr),
       inner_(std::move(inner)),
       kind_(kind),
-      rate_(rate),
-      seed_(seed),
       stall_(stall),
-      fault_rng_(seed) {
+      schedule_(rate, seed, "FaultBackend"),
+      id_(util::format_fault_id(to_string(kind), rate, seed, inner_id)) {
   if (!inner_) {
     throw std::invalid_argument("FaultBackend: null inner backend");
-  }
-  if (!(rate_ >= 0.0 && rate_ <= 1.0)) {
-    throw std::invalid_argument("FaultBackend: rate " + format_rate(rate_) +
-                                " outside [0, 1]");
   }
   if (stall_.count() < 0) {
     throw std::invalid_argument("FaultBackend: negative stall duration");
@@ -69,14 +59,12 @@ FaultBackend::FaultBackend(OsElmQBackendPtr inner, BackendFaultKind kind,
 }
 
 bool FaultBackend::draw_fault() {
-  ++calls_;
   // The schedule stream is consumed on EVERY serving-path call — even
   // kinds whose effect on this call is a no-op (kNan on train/sync) — so
   // the decision sequence stays aligned with
-  // backend_fault_schedule_preview() regardless of kind.
-  const bool fired = fault_rng_.bernoulli(rate_);
+  // util::fault_schedule_preview() regardless of kind.
+  const bool fired = schedule_.draw();
   if (fired) {
-    ++fault_count_;
     switch (kind_) {
       case BackendFaultKind::kThrow:
         OSELM_TRACE_INSTANT("fault", "backend_throw");
@@ -93,10 +81,10 @@ bool FaultBackend::draw_fault() {
 }
 
 void FaultBackend::throw_fault(const char* call) {
-  throw BackendFaultInjected(
-      "FaultBackend: injected failure on " + std::string(call) + " #" +
-      std::to_string(calls_) + " of 'fault:" + std::string(to_string(kind_)) +
-      ":" + format_rate(rate_) + ":" + std::to_string(seed_) + "'");
+  throw BackendFaultInjected("FaultBackend: injected failure on " +
+                             std::string(call) + " #" +
+                             std::to_string(schedule_.calls()) + " of '" +
+                             id_ + "'");
 }
 
 void FaultBackend::fire_before(bool fired, const char* call) {

@@ -5,16 +5,12 @@
 // needs *backend* failures it can reproduce bit-for-bit: a replica whose
 // arithmetic substrate throws mid-batch, stalls the batch thread, or
 // silently corrupts predictions to NaN. FaultBackend decorates any
-// registered backend with exactly those modes, driven by a DEDICATED
-// util::Rng stream so the schedule is a pure function of (rate, seed):
-//
-//   * the fault generator never draws from — and never perturbs — the
-//     wrapped backend's rng, so the learned weights under a given config
-//     seed are bit-identical with and without the wrapper;
-//   * the same (rate, seed) pair produces the same fire/no-fire decision
-//     sequence on every run and platform (util::Rng is platform-stable);
-//     backend_fault_schedule_preview() exposes that sequence so tests and
-//     the scenario layer can pin it without training a network.
+// registered backend with exactly those modes, fired by a
+// util::FaultSchedule (util/fault.hpp): a dedicated stream that never
+// perturbs the wrapped backend's rng, so the learned weights under a given
+// config seed are bit-identical with and without the wrapper, and
+// util::fault_schedule_preview() pins the fire sequence without training
+// a network.
 //
 // One bernoulli(rate) decision is drawn per SERVING-PATH call —
 // predict_main, predict_target, predict_actions, predict_actions_multi,
@@ -49,13 +45,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "rl/agent.hpp"
-#include "util/rng.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::rl {
 
@@ -75,22 +71,23 @@ enum class BackendFaultKind { kThrow, kStall, kNan };
 /// registry order — the single source for error messages and docs.
 [[nodiscard]] std::string_view backend_fault_kinds() noexcept;
 
-/// The exact fire/no-fire sequence a FaultBackend built with (rate, seed)
-/// will draw over its next `draws` serving-path calls. This IS the
-/// schedule contract: element k equals the decision of the k-th
-/// draw-consuming call after construction.
-[[nodiscard]] std::vector<bool> backend_fault_schedule_preview(
-    double rate, std::uint64_t seed, std::size_t draws);
+/// The kind whose to_string() is `text`, if any.
+[[nodiscard]] std::optional<BackendFaultKind> parse_backend_fault_kind(
+    std::string_view text) noexcept;
 
 class FaultBackend final : public OsElmQBackend {
  public:
+  /// `inner_id` names `inner` in injected-failure messages, which quote
+  /// the full "fault:<kind>:<rate>:<seed>:<inner-id>";
   /// `rate` in [0, 1] is the per-call fault probability; `seed` fixes the
   /// fault schedule (independent of the inner backend's config seed);
-  /// `stall` is the kStall sleep duration (other kinds ignore it). The
-  /// decorator charges the INNER backend's ledger — time accounting is
-  /// transparent to the wrapper.
-  FaultBackend(OsElmQBackendPtr inner, BackendFaultKind kind, double rate,
-               std::uint64_t seed,
+  /// `stall` is the kStall sleep duration (other kinds ignore it). Element
+  /// k of util::fault_schedule_preview(rate, seed, n) is the decision of
+  /// the k-th draw-consuming call after construction. The decorator
+  /// charges the INNER backend's ledger — time accounting is transparent
+  /// to the wrapper.
+  FaultBackend(OsElmQBackendPtr inner, const std::string& inner_id,
+               BackendFaultKind kind, double rate, std::uint64_t seed,
                std::chrono::microseconds stall = kDefaultStall);
 
   void initialize() override;
@@ -114,14 +111,16 @@ class FaultBackend final : public OsElmQBackend {
   void import_state(const QNetState& state) override;
 
   [[nodiscard]] BackendFaultKind kind() const noexcept { return kind_; }
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-  [[nodiscard]] std::uint64_t fault_seed() const noexcept { return seed_; }
+  [[nodiscard]] double rate() const noexcept { return schedule_.rate(); }
+  [[nodiscard]] std::uint64_t fault_seed() const noexcept {
+    return schedule_.seed();
+  }
   [[nodiscard]] std::chrono::microseconds stall_duration() const noexcept {
     return stall_;
   }
   /// Faults injected so far (draws that fired, across all serving calls).
   [[nodiscard]] std::uint64_t fault_count() const noexcept {
-    return fault_count_;
+    return schedule_.fired();
   }
   [[nodiscard]] const OsElmQBackendPtr& inner() const noexcept {
     return inner_;
@@ -130,7 +129,7 @@ class FaultBackend final : public OsElmQBackend {
   static constexpr std::chrono::microseconds kDefaultStall{2000};
 
  private:
-  /// One schedule draw; counts and returns whether this call faults.
+  /// One schedule draw; traces and returns whether this call faults.
   bool draw_fault();
   [[noreturn]] void throw_fault(const char* call);
   /// Applies the firing fault's pre-delegation effect (throw or stall).
@@ -138,13 +137,9 @@ class FaultBackend final : public OsElmQBackend {
 
   OsElmQBackendPtr inner_;
   BackendFaultKind kind_;
-  double rate_;
-  std::uint64_t seed_;
   std::chrono::microseconds stall_;
-  util::Rng fault_rng_;
-
-  std::uint64_t fault_count_ = 0;
-  std::uint64_t calls_ = 0;  ///< serving-path calls (error messages)
+  util::FaultSchedule schedule_;  ///< one draw per serving-path call
+  std::string id_;                ///< this decorator's registry id
 };
 
 }  // namespace oselm::rl

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "env/registry.hpp"
+#include "util/fault.hpp"
 
 namespace oselm::env {
 namespace {
@@ -19,15 +20,38 @@ EnvironmentPtr cartpole(std::uint64_t seed) {
   return make_environment("CartPole-v0", seed);
 }
 
+/// The fire/no-fire decision of each of the first `calls` reset()/step()
+/// calls of a kSpike FaultEnv, read from its fault_count().
+std::vector<bool> spike_firings(double rate, std::uint64_t fault_seed,
+                                std::size_t calls) {
+  FaultEnv env(cartpole(3), FaultKind::kSpike, rate, fault_seed,
+               microseconds(1));
+  std::vector<bool> fired;
+  bool need_reset = true;
+  for (std::size_t call = 0; call < calls; ++call) {
+    const std::uint64_t before = env.fault_count();
+    if (need_reset) {
+      env.reset();
+      need_reset = false;
+    } else if (env.step(call % 2).done()) {
+      need_reset = true;
+    }
+    fired.push_back(env.fault_count() != before);
+  }
+  return fired;
+}
+
 TEST(FaultEnv, PreviewIsSeedDeterministicAndRateBounded) {
-  const auto a = fault_schedule_preview(0.5, 42, 64);
-  const auto b = fault_schedule_preview(0.5, 42, 64);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, fault_schedule_preview(0.5, 43, 64));
-  for (const bool fired : fault_schedule_preview(0.0, 7, 32)) {
+  // The decorator fires as its preview says: same seed, same firings;
+  // another seed, other firings; rate 0 never fires, rate 1 always does.
+  const std::vector<bool> a = spike_firings(0.5, 42, 64);
+  EXPECT_EQ(a, util::fault_schedule_preview(0.5, 42, 64));
+  EXPECT_EQ(a, spike_firings(0.5, 42, 64));
+  EXPECT_NE(a, spike_firings(0.5, 43, 64));
+  for (const bool fired : spike_firings(0.0, 7, 32)) {
     EXPECT_FALSE(fired);
   }
-  for (const bool fired : fault_schedule_preview(1.0, 7, 32)) {
+  for (const bool fired : spike_firings(1.0, 7, 32)) {
     EXPECT_TRUE(fired);
   }
 }
@@ -40,7 +64,7 @@ TEST(FaultEnv, LiveDrawsMatchPreviewForEveryKind) {
   const std::uint64_t fault_seed = 42;
   const std::size_t draws = 12;
   const std::vector<bool> preview =
-      fault_schedule_preview(rate, fault_seed, draws);
+      util::fault_schedule_preview(rate, fault_seed, draws);
   for (const FaultKind kind :
        {FaultKind::kDrop, FaultKind::kReorder, FaultKind::kThrow,
         FaultKind::kSpike}) {

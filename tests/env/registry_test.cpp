@@ -101,6 +101,9 @@ TEST(Registry, RegisteredModifiersExposeBothFamilies) {
 TEST(Registry, FaultModifierWrapsAndNests) {
   auto env = make_environment("fault:drop:0.25:7:ShapedCartPole-v0", 11);
   EXPECT_EQ(env->name(), "fault:drop:0.25:7:CartPole-v0");
+  // The name round-trips the id at full rate precision.
+  const std::string precise = "fault:drop:0.123456789:7:CartPole-v0";
+  EXPECT_EQ(make_environment(precise, 11)->name(), precise);
   EXPECT_EQ(env->observation_space().dimensions(), 4u);
   // Nesting with itself and with delay: composes like any modifier.
   auto nested =
@@ -172,20 +175,21 @@ TEST(Registry, UnknownIdListsEnvironmentsAndModifierFamilies) {
   }
 }
 
+/// Expects make_environment(id) to throw std::invalid_argument quoting
+/// the full outer id.
+void expect_mentions(const std::string& id) {
+  try {
+    (void)make_environment(id);
+    ADD_FAILURE() << "expected std::invalid_argument for '" << id << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + id + "'"), std::string::npos)
+        << "message '" << e.what() << "' lacks the outer id '" << id << "'";
+  }
+}
+
 TEST(Registry, NestedFaultErrorsReportTheFullOuterId) {
   // Error-reporting parity with delay:: a nested failure names the FULL
   // outer id regardless of which modifier family wraps which.
-  const auto expect_mentions = [](const std::string& id) {
-    try {
-      (void)make_environment(id);
-      FAIL() << "expected std::invalid_argument for '" << id << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + id + "'"),
-                std::string::npos)
-          << "message '" << e.what() << "' lacks the outer id '" << id
-          << "'";
-    }
-  };
   expect_mentions("fault:drop:0.5:9:NoSuchEnv");
   expect_mentions("fault:drop:0.5:9:fault:spike:0.1:1:NoSuchEnv");
   expect_mentions("fault:drop:0.5:9:delay:oops:GridWorld");
@@ -196,17 +200,6 @@ TEST(Registry, NestedMalformedInnerIdsReportTheFullOuterId) {
   // A bad inner id inside nested "delay:" wrappers must surface the FULL
   // outer id, not just the innermost fragment — callers built the outer
   // string and grep their logs for it.
-  const auto expect_mentions = [](const std::string& id) {
-    try {
-      (void)make_environment(id);
-      FAIL() << "expected std::invalid_argument for '" << id << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + id + "'"),
-                std::string::npos)
-          << "message '" << e.what() << "' lacks the outer id '" << id
-          << "'";
-    }
-  };
   expect_mentions("delay:100:NoSuchEnv");
   expect_mentions("delay:100:delay:50:NoSuchEnv");
   expect_mentions("delay:100:delay:oops:GridWorld");

@@ -2,7 +2,7 @@
 //
 // Load-bearing properties:
 //   * seeded determinism: the fire/no-fire sequence is a pure function of
-//     (rate, seed) and matches backend_fault_schedule_preview exactly;
+//     (rate, seed) and matches util::fault_schedule_preview exactly;
 //   * fault isolation: the decorator's rng never perturbs the inner
 //     backend — learned weights are bit-identical with and without it;
 //   * state management never faults: initialize / export_state /
@@ -23,6 +23,7 @@
 
 #include "rl/backend_registry.hpp"
 #include "rl/software_backend.hpp"
+#include "util/fault.hpp"
 #include "util/rng.hpp"
 
 namespace oselm::rl {
@@ -72,9 +73,9 @@ void expect_invalid_argument(Fn&& fn,
 TEST(FaultBackend, FiringSequenceMatchesThePreviewContract) {
   // The preview IS the schedule: decision k of the preview equals the
   // decision of the k-th draw-consuming call after construction.
-  const std::vector<bool> preview =
-      backend_fault_schedule_preview(0.5, 99, 32);
-  FaultBackend backend(inner_backend(), BackendFaultKind::kNan, 0.5, 99);
+  const std::vector<bool> preview = util::fault_schedule_preview(0.5, 99, 32);
+  FaultBackend backend(inner_backend(), "software", BackendFaultKind::kNan,
+                       0.5, 99);
   train_backend(backend);  // consumes draw #0 (init_train is serving-path)
   const linalg::VecD sa(kInputDim, 0.2);
   std::size_t fired = preview[0] ? 1u : 0u;
@@ -86,16 +87,33 @@ TEST(FaultBackend, FiringSequenceMatchesThePreviewContract) {
   EXPECT_EQ(backend.fault_count(), fired);
 }
 
+/// The fire/no-fire decision of each of the first `calls` predict_main
+/// calls of a kNan FaultBackend whose inner backend was trained directly.
+std::vector<bool> nan_firings(double rate, std::uint64_t fault_seed,
+                              std::size_t calls) {
+  FaultBackend backend(inner_backend(), "software", BackendFaultKind::kNan,
+                       rate, fault_seed);
+  train_backend(*backend.inner());  // train the inner directly: no draw
+  const linalg::VecD sa(kInputDim, 0.2);
+  std::vector<bool> fired;
+  for (std::size_t i = 0; i < calls; ++i) {
+    fired.push_back(std::isnan(backend.predict_main(sa)));
+  }
+  return fired;
+}
+
 TEST(FaultBackend, SameSeedSameSchedule) {
-  const std::vector<bool> a = backend_fault_schedule_preview(0.3, 7, 64);
-  const std::vector<bool> b = backend_fault_schedule_preview(0.3, 7, 64);
-  const std::vector<bool> c = backend_fault_schedule_preview(0.3, 8, 64);
+  const std::vector<bool> a = nan_firings(0.3, 7, 64);
+  const std::vector<bool> b = nan_firings(0.3, 7, 64);
+  const std::vector<bool> c = nan_firings(0.3, 8, 64);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+  EXPECT_EQ(a, util::fault_schedule_preview(0.3, 7, 64));
 }
 
 TEST(FaultBackend, ThrowKindThrowsTheDistinctTypeWithContext) {
-  FaultBackend backend(inner_backend(), BackendFaultKind::kThrow, 1.0, 9);
+  FaultBackend backend(inner_backend(), "software", BackendFaultKind::kThrow,
+                       1.0, 9);
   train_backend(*backend.inner());  // train the inner directly: no draw
   const linalg::VecD sa(kInputDim, 0.2);
   try {
@@ -106,7 +124,7 @@ TEST(FaultBackend, ThrowKindThrowsTheDistinctTypeWithContext) {
     EXPECT_NE(message.find("injected failure on predict_main"),
               std::string::npos)
         << message;
-    EXPECT_NE(message.find("fault:throw:1:9"), std::string::npos)
+    EXPECT_NE(message.find("fault:throw:1:9:software"), std::string::npos)
         << message;
   }
 }
@@ -117,7 +135,8 @@ TEST(FaultBackend, NanKindCorruptsPredictionsButNeverTraining) {
   // applies to PREDICT OUTPUTS only and training passes through.
   const OsElmQBackendPtr clean = inner_backend(11);
   train_backend(*clean);
-  FaultBackend faulty(inner_backend(11), BackendFaultKind::kNan, 1.0, 5);
+  FaultBackend faulty(inner_backend(11), "software", BackendFaultKind::kNan,
+                      1.0, 5);
   train_backend(faulty);
   const linalg::VecD sa(kInputDim, 0.4);
   faulty.seq_train(sa, 0.7);
@@ -145,7 +164,8 @@ TEST(FaultBackend, StallKindIsLatencyOnly) {
   // bit-identical to the unwrapped backend — the delay-only contract.
   const OsElmQBackendPtr clean = inner_backend(13);
   train_backend(*clean);
-  FaultBackend stalled(inner_backend(13), BackendFaultKind::kStall, 1.0, 5,
+  FaultBackend stalled(inner_backend(13), "software",
+                       BackendFaultKind::kStall, 1.0, 5,
                        std::chrono::microseconds(50));
   train_backend(stalled);
   const linalg::VecD sa(kInputDim, 0.25);
@@ -158,7 +178,8 @@ TEST(FaultBackend, StateManagementNeverFaultsAndConsumesNoDraw) {
   // rate = 1: every draw-consuming call would throw. initialize,
   // export_state and import_state must still pass through untouched —
   // replacement seeding and averaging depend on exactly this.
-  FaultBackend backend(inner_backend(), BackendFaultKind::kThrow, 1.0, 9);
+  FaultBackend backend(inner_backend(), "software", BackendFaultKind::kThrow,
+                       1.0, 9);
   train_backend(*backend.inner());
   EXPECT_TRUE(backend.initialized());
   const QNetState state = backend.export_state();
@@ -177,7 +198,7 @@ TEST(FaultBackend, ChargesTheInnerLedger) {
   auto ledger = std::make_shared<util::TimeLedger>();
   BackendConfig config = small_config();
   config.ledger = ledger;
-  FaultBackend backend(make_backend("software", config),
+  FaultBackend backend(make_backend("software", config), "software",
                        BackendFaultKind::kStall, 0.0, 1);
   EXPECT_EQ(&backend.ledger(), ledger.get());
   (void)backend.predict_main(linalg::VecD(kInputDim, 0.1));
@@ -186,13 +207,15 @@ TEST(FaultBackend, ChargesTheInnerLedger) {
 }
 
 TEST(FaultBackend, ConstructorRejectsBadArguments) {
-  EXPECT_THROW(FaultBackend(nullptr, BackendFaultKind::kThrow, 0.5, 1),
+  EXPECT_THROW(FaultBackend(nullptr, "software", BackendFaultKind::kThrow,
+                            0.5, 1),
                std::invalid_argument);
-  EXPECT_THROW(FaultBackend(inner_backend(), BackendFaultKind::kThrow,
-                            1.5, 1),
+  EXPECT_THROW(FaultBackend(inner_backend(), "software",
+                            BackendFaultKind::kThrow, 1.5, 1),
                std::invalid_argument);
-  EXPECT_THROW(FaultBackend(inner_backend(), BackendFaultKind::kStall, 0.5,
-                            1, std::chrono::microseconds(-1)),
+  EXPECT_THROW(FaultBackend(inner_backend(), "software",
+                            BackendFaultKind::kStall, 0.5, 1,
+                            std::chrono::microseconds(-1)),
                std::invalid_argument);
 }
 
@@ -206,6 +229,26 @@ TEST(FaultBackendRegistry, BuildsFromTheModifierId) {
   EXPECT_EQ(fault->fault_seed(), 7u);
   EXPECT_NE(dynamic_cast<SoftwareOsElmBackend*>(fault->inner().get()),
             nullptr);
+}
+
+TEST(FaultBackendRegistry, InjectedFailuresQuoteTheFullId) {
+  // The message quotes the id make_backend was given — full-precision
+  // rate and inner id included — so a log line names the planned id.
+  const std::string id = "fault:throw:0.123456789:7:software";
+  const OsElmQBackendPtr backend = make_backend(id, small_config());
+  train_backend(*dynamic_cast<const FaultBackend&>(*backend).inner());
+  const linalg::VecD sa(kInputDim, 0.2);
+  for (std::size_t call = 0; call < 256; ++call) {
+    try {
+      (void)backend->predict_main(sa);
+    } catch (const BackendFaultInjected& e) {
+      EXPECT_NE(std::string(e.what()).find("of '" + id + "'"),
+                std::string::npos)
+          << e.what();
+      return;
+    }
+  }
+  FAIL() << "no fault fired in 256 calls";
 }
 
 TEST(FaultBackendRegistry, NestsWithItself) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "scenario/pack.hpp"
 #include "scenario/schedule.hpp"
@@ -291,6 +294,32 @@ TEST(ScenarioPack, EveryBuiltinValidatesExpandsAndRoundTrips) {
     const ScenarioSchedule schedule = expand_schedule(spec);
     EXPECT_EQ(schedule.total_sessions, spec.sessions) << name;
     EXPECT_EQ(parse_scenario(spec.to_text()).to_text(), spec.to_text())
+        << name;
+  }
+}
+
+TEST(ScenarioPack, BuiltinScheduleDigestsArePinned) {
+  // The digest hashes every planned env id, backend-fault plan and seed,
+  // so these constants pin each builtin's plan byte for byte across
+  // commits. A change here changes what the chaos pack runs; update the
+  // table only for an intended plan change.
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"churn-storm", 0xee320d0e55291574ULL},
+      {"latency-spike", 0x4a587d67372e259aULL},
+      {"env-fault-mix", 0x9dd2c0f798a2a829ULL},
+      {"backend-stall", 0x8880f4045725ba4fULL},
+      {"router-replica-stall", 0x56ce9b2c45dad303ULL},
+      {"mixed-train-eval", 0x26751c4d352ca769ULL},
+      {"backend-fault-storm", 0x742fccd58cd341daULL},
+      {"replica-kill-rescue", 0x96dcd14189dbe971ULL},
+      {"replica-backend-nan", 0x91283b154425ab29ULL},
+      {"averaging-kill-rescue", 0x13c2098830fdde7fULL},
+      {"bounded-wait-admission", 0x8c7aed8108b57aceULL},
+      {"lockstep-baseline", 0xe3b1593339e37eb1ULL},
+  };
+  ASSERT_EQ(builtin_scenarios().size(), pinned.size());
+  for (const auto& [name, digest] : pinned) {
+    EXPECT_EQ(expand_schedule(builtin_scenario(name)).digest, digest)
         << name;
   }
 }
