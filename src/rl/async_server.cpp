@@ -148,7 +148,15 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
   backend_->ledger().release_writer();
   started_at_us_ = obs::Tracer::now_us();
   pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
-  batch_thread_ = std::thread([this] { batch_loop(); });
+  try {
+    for (std::size_t lane = 0; lane < config_.worker_threads; ++lane) {
+      (void)pool_->submit([this] { worker_lane(); });
+    }
+    batch_thread_ = std::thread([this] { batch_loop(); });
+  } catch (...) {
+    release_lanes();  // or ~ThreadPool would wait on them forever
+    throw;
+  }
 }
 
 AsyncQServer::~AsyncQServer() { stop(); }
@@ -170,6 +178,8 @@ void AsyncQServer::stop() {
   queue_cv_.notify_all();
   space_cv_.notify_all();
   if (batch_thread_.joinable()) batch_thread_.join();
+  // No session is live, so the run queue is empty and stays so.
+  release_lanes();
   // The batch thread is gone; the ledger's next writer is whichever
   // thread touches the quiescent backend next (inline run_exclusive, an
   // agent resuming training, a bench reading then reusing it).
@@ -257,7 +267,7 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
   sessions_admitted_.fetch_add(1, std::memory_order_relaxed);
   async_metrics().sessions_admitted.add();
   OSELM_TRACE_INSTANT("session", "admit");
-  pool_->submit([this, raw] { advance(raw); });
+  make_runnable({&raw, 1});
   return id;
 }
 
@@ -380,6 +390,42 @@ std::string AsyncServerStats::to_json() const {
 // ---------------------------------------------------------------------------
 // Worker side — the per-session state machine
 // ---------------------------------------------------------------------------
+
+void AsyncQServer::worker_lane() {
+  for (;;) {
+    Session* s = nullptr;
+    {
+      std::unique_lock lk(run_mutex_);
+      run_cv_.wait(lk, [this] { return lanes_stop_ || !runnable_.empty(); });
+      if (runnable_.empty()) return;  // stop() released the lanes
+      s = runnable_.front();
+      runnable_.pop_front();
+    }
+    advance(s);
+  }
+}
+
+void AsyncQServer::release_lanes() {
+  {
+    const std::scoped_lock lk(run_mutex_);
+    lanes_stop_ = true;
+  }
+  run_cv_.notify_all();
+}
+
+void AsyncQServer::make_runnable(std::span<Session* const> sessions) {
+  {
+    const std::scoped_lock lk(run_mutex_);
+    runnable_.insert(runnable_.end(), sessions.begin(), sessions.end());
+  }
+  // A busy lane pops the next session itself when it finishes, so waking
+  // more lanes than sessions only buys spurious wakeups.
+  if (sessions.size() >= config_.worker_threads) {
+    run_cv_.notify_all();
+    return;
+  }
+  for (std::size_t i = 0; i < sessions.size(); ++i) run_cv_.notify_one();
+}
 
 void AsyncQServer::advance(Session* s) {
   if (obs::Tracer::enabled()) {
@@ -598,10 +644,14 @@ void AsyncQServer::suspend(Session& s, RequestKind kind, Phase resume) {
     // clock-free on this seam.
     pending_since_us_ = obs::Tracer::now_us();
   }
+  const bool was_empty = ready_.empty();
   ready_.emplace_back(&s, kind);
   OSELM_DCHECK_LE(ready_.size(), config_.ready_queue_capacity);
+  // The batch thread sleeps either for a first request or, lingering, for
+  // the batch to fill; any other push cannot end its wait.
+  const bool wake = was_empty || batch_full();
   lk.unlock();
-  queue_cv_.notify_one();
+  if (wake) queue_cv_.notify_one();
   // NOTE: the session may already be running on another worker by the
   // time push returns — no member of `s` may be touched past this point.
 }
@@ -630,6 +680,14 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
   async_metrics().sessions_retired.add();
   OSELM_TRACE_INSTANT("session", "retire");
   const std::size_t id = result.id;
+  // Erasing the session lowers the live count, which can make the
+  // lingering batch full: every live session left may already have a
+  // request pending. Re-check under queue_mutex_ (lock order: inside
+  // sessions_mutex_) so the batch thread cannot miss the wakeup.
+  const auto wake_full_batch = [this] {
+    const std::scoped_lock qlk(queue_mutex_);
+    if (!ready_.empty() && batch_full()) queue_cv_.notify_one();
+  };
   // Callback mode (the router's replica seam): deliver the result with
   // NO server locks held — the callback re-places rescued sessions onto
   // other servers, which takes their locks. The session is erased from
@@ -640,6 +698,7 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
     const std::scoped_lock lk(sessions_mutex_);
     live_.erase(id);  // destroys *s — it owns no further control flow
     live_count_.store(live_.size(), std::memory_order_relaxed);
+    wake_full_batch();
     retire_cv_.notify_all();
     return;
   }
@@ -648,6 +707,7 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
     results_.emplace(id, std::move(result));
     live_.erase(id);  // destroys *s — it owns no further control flow
     live_count_.store(live_.size(), std::memory_order_relaxed);
+    wake_full_batch();
     // Notify under the lock: a waiter (stop()/wait()/drain()) may destroy
     // the server the moment its predicate holds, so the condition
     // variable must not be touched after the mutex is released.
@@ -681,16 +741,6 @@ void AsyncQServer::batch_loop() {
         exclusive_.clear();
       }
       if (!ready_.empty()) {
-        // A batch is "full" at max_batch rows — or as soon as no further
-        // request can arrive before a drain: every live session already
-        // has one pending (solo sessions never pay the linger), or the
-        // bounded queue is at capacity and workers are blocked on it.
-        const auto batch_full = [this] {
-          return ready_.size() >= config_.max_batch ||
-                 ready_.size() >=
-                     live_count_.load(std::memory_order_relaxed) ||
-                 ready_.size() >= config_.ready_queue_capacity;
-        };
         if (config_.max_wait_us > 0 && !batch_full() && exclusive.empty()) {
           // Continuous-batching linger: give co-tenants max_wait_us to
           // join this batch, then serve whatever is pending.
@@ -723,6 +773,16 @@ void AsyncQServer::batch_loop() {
     for (ExclusiveTask& task : exclusive) run_exclusive_task(task);
     if (!drained.empty()) process_requests(drained);
   }
+}
+
+bool AsyncQServer::batch_full() const {
+  // A batch is "full" at max_batch rows — or as soon as no further
+  // request can arrive before a drain: every live session already has one
+  // pending (solo sessions never pay the linger), or the bounded queue is
+  // at capacity and workers are blocked on it.
+  return ready_.size() >= config_.max_batch ||
+         ready_.size() >= live_count_.load(std::memory_order_relaxed) ||
+         ready_.size() >= config_.ready_queue_capacity;
 }
 
 void AsyncQServer::run_exclusive_task(ExclusiveTask& task) {
@@ -916,6 +976,7 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
     }
   }
   if (!batch_sessions_.empty()) {
+    bool served = false;
     try {
       coalesced_predict(QNetwork::kMain, /*use_next_state=*/false);
       for (std::size_t i = 0; i < batch_sessions_.size(); ++i) {
@@ -926,8 +987,18 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
         }
         batch_sessions_[i]->action = best;
       }
+      served = true;
     } catch (const std::exception& e) {
       fail_batch(e);
+    }
+    if (served) {
+      // Hand the whole greedy batch back in one push: those sessions step
+      // their environments while this thread does the training work below.
+      // They are no longer this batch's to touch.
+      for (Request& r : requests) {
+        if (r.kind == RequestKind::kGreedyEval) r.session = nullptr;
+      }
+      make_runnable(batch_sessions_);
     }
   }
 
@@ -956,8 +1027,8 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
     }
   }
 
-  // Apply trains/init/sync/reset in drain order, then resume each session
-  // on the worker pool.
+  // Apply trains/init/sync/reset in drain order, making each session
+  // runnable as soon as its own update is done.
   OSELM_TRACE_SPAN("train", "seq_train_drain");
   for (Request& r : requests) {
     Session* s = r.session;
@@ -965,7 +1036,7 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
     try {
       switch (r.kind) {
         case RequestKind::kGreedyEval:
-          break;  // action already delivered
+          break;  // unreachable: greedy rows were handed back or failed
         case RequestKind::kTdEvalTrain: {
           const double target = clip_target(
               *s, s->transition.reward +
@@ -1007,7 +1078,7 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
       retire(s, SessionEndCause::kBackendError, failure_text(e));
       continue;
     }
-    pool_->submit([this, s] { advance(s); });
+    make_runnable({&s, 1});
   }
   if (had_backend_error) {
     consecutive_backend_failures_.fetch_add(1, std::memory_order_relaxed);

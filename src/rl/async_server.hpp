@@ -6,18 +6,21 @@
 // fleet. AsyncQServer removes the barrier:
 //
 //   * each session runs on its own logical queue: its environment
-//     stepping, rng draws, and (state, action) encoding execute as tasks
-//     on a util::ThreadPool, never waiting for co-tenants;
+//     stepping, rng draws, and (state, action) encoding execute on the
+//     `worker_threads` lanes of a util::ThreadPool, which pop runnable
+//     sessions off the server's run queue, never waiting for co-tenants;
 //   * whenever a session needs the shared Q-network it suspends and
 //     pushes a request onto a BOUNDED ready queue (backpressure: workers
 //     block when the queue is full);
 //   * a single batching predict/train thread drains pending requests —
 //     waiting up to `max_wait_us` after the first arrival to coalesce up
 //     to `max_batch` of them — into predict_actions_multi batches against
-//     ONE shared backend from rl::BackendRegistry, applies any
-//     sequential-training updates, and resumes the sessions. Every
-//     backend call (and therefore every util::TimeLedger charge) happens
-//     on this one thread, so the backend needs no locking.
+//     ONE shared backend from rl::BackendRegistry, hands every greedy row
+//     of the batch back to the run queue in one push right after the
+//     argmax, then applies any sequential-training updates, making each
+//     of those sessions runnable as its update finishes. Every backend
+//     call (and therefore every util::TimeLedger charge) happens on this
+//     one thread, so the backend needs no locking.
 //
 // Sessions join and leave dynamically: add_session() admits up to
 // `max_live_sessions` concurrent sessions (beyond the cap it throws a
@@ -61,6 +64,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -299,7 +303,7 @@ class AsyncQServer {
 
   struct Session;
   struct Request {
-    Session* session;  ///< null once the request was handled by a failure
+    Session* session;  ///< null once failed or handed back to the lanes
     RequestKind kind;
   };
 
@@ -314,12 +318,23 @@ class AsyncQServer {
   /// backend_->initialized().
   void run_exclusive_task(ExclusiveTask& task);
 
-  // Worker side (thread pool tasks).
+  // Worker side (the pool's long-lived run-queue lanes).
+  void worker_lane();
+  /// Ends every worker_lane() loop once its run queue is empty, so the
+  /// pool's destructor can join the lanes.
+  void release_lanes();
   void advance(Session* s);
   void run_session(Session& s);
   void begin_episode_env(Session& s);  ///< episode counters + env reset
   void suspend(Session& s, RequestKind kind, Phase resume);
   void retire(Session* s, SessionEndCause cause, std::string error);
+  /// Appends `sessions` to the run queue in one locked push and wakes at
+  /// most one idle lane per session. The caller gives up every session
+  /// it passes: a lane may run (and retire) it before this returns.
+  void make_runnable(std::span<Session* const> sessions);
+  /// True once no further request can join the pending batch. Caller
+  /// holds queue_mutex_.
+  [[nodiscard]] bool batch_full() const;
 
   // Batch-thread side (the only code that touches backend_ after start).
   /// The backend seam: every predicting/training/initializing backend
@@ -352,9 +367,11 @@ class AsyncQServer {
   util::ThreadAffinity batch_affinity_;
 
   // Lock order: stop_mutex_ > sessions_mutex_ > queue_mutex_ >
-  // stats_mutex_ (outermost to innermost). A thread holding a later
-  // mutex never acquires an earlier one; in practice only stop() nests
-  // at all (stop_mutex_ around each of the others, one at a time).
+  // run_mutex_ > stats_mutex_ (outermost to innermost). A thread holding
+  // a later mutex never acquires an earlier one. Two paths nest: stop()
+  // (stop_mutex_ around each of the others, one at a time) and retire()
+  // (queue_mutex_ inside sessions_mutex_, to wake a batch that the
+  // lowered live count just made full).
 
   // Ready queue (workers push, batch thread drains).
   mutable std::mutex queue_mutex_;
@@ -363,6 +380,12 @@ class AsyncQServer {
   std::deque<Request> ready_;
   std::deque<ExclusiveTask> exclusive_;  ///< run_exclusive queue
   bool batch_stop_ = false;
+
+  // Run queue (the batch thread and add_session push, worker lanes pop).
+  std::mutex run_mutex_;
+  std::condition_variable run_cv_;  ///< idle lanes wait for a session
+  std::deque<Session*> runnable_;
+  bool lanes_stop_ = false;  ///< release_lanes(): no session runs again
 
   // Session registry and lifecycle.
   mutable std::mutex sessions_mutex_;
@@ -420,7 +443,8 @@ class AsyncQServer {
 
   // Threads last: destroyed FIRST, so no worker or batch task can touch a
   // member (queues, condition variables, histograms) mid-destruction.
-  // stop() joins batch_thread_ before any member teardown regardless.
+  // stop() joins batch_thread_ and releases the pool's lanes before any
+  // member teardown regardless.
   std::unique_ptr<util::ThreadPool> pool_;
   std::thread batch_thread_;
 };

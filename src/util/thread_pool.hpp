@@ -1,9 +1,20 @@
-// Fixed-size thread pool with a blocking parallel_for, used to run
-// independent RL trials concurrently when averaging Fig. 5 results.
-//
-// Matrix-level parallelism uses OpenMP inside linalg; this pool exists for
-// the coarser trial-level fan-out where per-trial determinism (one Rng per
-// trial) must be preserved regardless of scheduling order.
+// Fixed-size thread pool with a blocking parallel_for. Apart from two
+// long-lived service threads (AsyncQServer's batch thread, RouterQServer's
+// sync thread), every thread the library runs is one of its lanes (the
+// naked-thread lint enforces this). Its users are:
+//   * run_trials (core/experiment) — trial-level fan-out when averaging
+//     Fig. 5 results (parallel_for; per-trial determinism comes from one
+//     Rng per trial, whatever the scheduling order);
+//   * linalg::kernels — the internal pool that shards the symmetric
+//     rank-1 P update into row bands at n >= 512 (parallel_for);
+//   * rl::QServer — the sharded environment phase of each lockstep tick;
+//   * rl::AsyncQServer — `worker_threads` long-lived lane tasks, each
+//     popping runnable sessions off the server's run queue until stop();
+//   * obs::MetricsRegistry::start_sampler — the one-lane JSONL sampler
+//     loop;
+//   * run_chaos (scenario/chaos) — the one-lane watchdog that bounds a
+//     tier's stop().
+// Matrix-level parallelism otherwise uses OpenMP inside linalg.
 #pragma once
 
 #include <condition_variable>

@@ -11,7 +11,10 @@
 //   * lifecycle robustness: admission control rejects past the cap with a
 //     clear error, a session whose environment throws mid-step retires
 //     without poisoning the batch thread, and shutdown with in-flight
-//     requests joins cleanly (exercised under ASan/UBSan and TSan in CI).
+//     requests joins cleanly (exercised under ASan/UBSan and TSan in CI);
+//   * handoff conservation: across worker counts and batch sizes, every
+//     admitted session retires exactly once and no step is lost between
+//     the batch thread's resume push and the worker lanes.
 #include "rl/async_server.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +22,10 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "env/registry.hpp"
@@ -347,19 +353,15 @@ TEST(AsyncQServer, ConcurrentJoinsRacingStopNeverHangOrMiscount) {
   EXPECT_EQ(server.live_sessions(), 0u);
 }
 
-/// CartPole wrapper whose step() throws after a fixed number of calls —
-/// the "sensor disconnected mid-episode" failure.
-class FlakyEnv final : public env::Environment {
+/// ShapedCartPole that forwards every call; the test environments below
+/// override reset() or step() to inject their behaviour.
+class CartPoleWrapper : public env::Environment {
  public:
-  FlakyEnv(std::uint64_t seed, std::size_t fail_after)
-      : inner_(env::make_environment("ShapedCartPole-v0", seed)),
-        fail_after_(fail_after) {}
+  explicit CartPoleWrapper(std::uint64_t seed)
+      : inner_(env::make_environment("ShapedCartPole-v0", seed)) {}
 
   env::Observation reset() override { return inner_->reset(); }
   env::StepResult step(std::size_t action) override {
-    if (++calls_ > fail_after_) {
-      throw std::runtime_error("sensor disconnected");
-    }
     return inner_->step(action);
   }
   void seed(std::uint64_t seed_value) override { inner_->seed(seed_value); }
@@ -369,13 +371,30 @@ class FlakyEnv final : public env::Environment {
   [[nodiscard]] const env::DiscreteSpace& action_space() const override {
     return inner_->action_space();
   }
-  [[nodiscard]] std::string_view name() const override { return "Flaky"; }
+  [[nodiscard]] std::string_view name() const override { return "Wrapped"; }
   [[nodiscard]] std::size_t max_episode_steps() const override {
     return inner_->max_episode_steps();
   }
 
  private:
   env::EnvironmentPtr inner_;
+};
+
+/// CartPole wrapper whose step() throws after a fixed number of calls —
+/// the "sensor disconnected mid-episode" failure.
+class FlakyEnv final : public CartPoleWrapper {
+ public:
+  FlakyEnv(std::uint64_t seed, std::size_t fail_after)
+      : CartPoleWrapper(seed), fail_after_(fail_after) {}
+
+  env::StepResult step(std::size_t action) override {
+    if (++calls_ > fail_after_) {
+      throw std::runtime_error("sensor disconnected");
+    }
+    return CartPoleWrapper::step(action);
+  }
+
+ private:
   std::size_t fail_after_;
   std::size_t calls_ = 0;
 };
@@ -466,6 +485,158 @@ TEST(AsyncQServer, DestructionWithoutStopIsAGracefulStop) {
     // Destructor runs with the session mid-flight.
   }
   SUCCEED();
+}
+
+/// CartPole wrapper that counts live instances (a leak shows as a
+/// non-zero count once its server is gone) and sleeps `step_delay_us` per
+/// step, so sessions pile up on the run queue behind a busy lane.
+class CountedEnv final : public CartPoleWrapper {
+ public:
+  CountedEnv(std::uint64_t seed, std::atomic<int>& live,
+             std::uint64_t step_delay_us)
+      : CartPoleWrapper(seed), live_(live), step_delay_us_(step_delay_us) {
+    live_.fetch_add(1);
+  }
+  CountedEnv(const CountedEnv&) = delete;
+  CountedEnv& operator=(const CountedEnv&) = delete;
+  ~CountedEnv() override { live_.fetch_sub(1); }
+
+  env::StepResult step(std::size_t action) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(step_delay_us_));
+    return CartPoleWrapper::step(action);
+  }
+
+ private:
+  std::atomic<int>& live_;
+  std::uint64_t step_delay_us_;
+};
+
+AsyncSessionSpec train_spec(std::uint64_t env_seed, std::uint64_t agent_seed,
+                            std::size_t episodes) {
+  AsyncSessionSpec spec;
+  spec.mode = AsyncSessionMode::kTrain;
+  spec.session.env_seed = env_seed;
+  spec.session.agent_seed = agent_seed;
+  spec.session.trainer.max_episodes = episodes;
+  spec.session.trainer.solved_threshold = 1e9;  // run the full budget
+  spec.session.trainer.reset_interval = 4;      // exercise kReset rows
+  return spec;
+}
+
+TEST(AsyncQServer, HandoffConservesSessionsAndStepsAcrossLanesAndBatches) {
+  // Every row of every batch goes back to the worker lanes exactly once —
+  // greedy rows in one push after the argmax, train/init/sync/reset rows
+  // one by one — so across lane counts and batch sizes no session is lost
+  // or resumed twice, and no step goes uncounted.
+  const std::size_t hardware =
+      std::max<std::size_t>(2, std::thread::hardware_concurrency());
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, hardware}) {
+    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{32}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " max_batch=" + std::to_string(max_batch));
+      AsyncQServerConfig config;
+      config.worker_threads = workers;
+      config.max_batch = max_batch;
+      config.max_wait_us = 50;
+      AsyncQServer server(make_backend("software", backend_config(61)),
+                          SimplifiedOutputModel(4, 2), config);
+      std::set<std::size_t> admitted;
+      for (std::size_t i = 0; i < 6; ++i) {
+        admitted.insert(server.add_session(eval_spec(500 + i, 510 + i, 6)));
+      }
+      for (std::size_t i = 0; i < 3; ++i) {
+        admitted.insert(server.add_session(train_spec(520 + i, 530 + i, 16)));
+      }
+      const std::vector<AsyncSessionResult> results = server.drain();
+      const AsyncServerStats stats = server.stats();
+
+      std::set<std::size_t> retired;
+      std::uint64_t session_steps = 0;
+      for (const AsyncSessionResult& r : results) {
+        EXPECT_TRUE(retired.insert(r.id).second) << "retired twice: " << r.id;
+        EXPECT_TRUE(r.completed) << r.id << ": " << r.error;
+        session_steps += r.train.total_steps;
+      }
+      EXPECT_EQ(retired, admitted);
+      EXPECT_EQ(stats.sessions_admitted, admitted.size());
+      EXPECT_EQ(stats.sessions_retired, admitted.size());
+      EXPECT_EQ(stats.steps, session_steps);
+      EXPECT_GT(stats.train_updates, 0u);
+      EXPECT_LE(stats.mean_batch_rows(), static_cast<double>(max_batch));
+    }
+  }
+}
+
+TEST(AsyncQServer, DestructionWithSessionsOnTheRunQueueRetiresAndFreesAll) {
+  // One lane, sixteen sessions with slow steps: a coalesced batch hands
+  // all sixteen back at once and fifteen wait on the run queue while the
+  // lane steps one. Destroying the server there must still retire every
+  // session exactly once and free every environment.
+  std::atomic<int> live_envs{0};
+  std::mutex retired_mutex;
+  std::map<std::size_t, int> retirements;
+  std::size_t admitted = 0;
+  {
+    AsyncQServerConfig config;
+    config.worker_threads = 1;
+    config.on_retire = [&](AsyncSessionResult&& result) {
+      const std::scoped_lock lk(retired_mutex);
+      ++retirements[result.id];
+    };
+    AsyncQServer server(make_backend("software", backend_config(62)),
+                        SimplifiedOutputModel(4, 2), config);
+    for (std::size_t i = 0; i < 16; ++i) {
+      AsyncSessionSpec spec = eval_spec(540 + i, 560 + i, 100000);
+      spec.env_factory = [&live_envs](std::uint64_t seed) {
+        return std::make_unique<CountedEnv>(seed, live_envs, 200);
+      };
+      server.add_session(spec);
+      ++admitted;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(live_envs.load(), 0) << "a session's environment leaked";
+  ASSERT_EQ(retirements.size(), admitted);
+  for (const auto& [id, count] : retirements) {
+    EXPECT_EQ(count, 1) << "session " << id;
+  }
+}
+
+/// Environment whose reset() sleeps, then throws: its session retires
+/// with an error without ever sending the batch thread a request.
+class SlowFailingResetEnv final : public CartPoleWrapper {
+ public:
+  using CartPoleWrapper::CartPoleWrapper;
+
+  env::Observation reset() override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    throw std::runtime_error("simulator never came up");
+  }
+};
+
+TEST(AsyncQServer, RetirementEndsTheLingerOfAPendingBatch) {
+  // Two live sessions: the healthy one's first request lingers for a
+  // co-tenant, while the other retires without ever sending one. Once it
+  // is gone every live session has a request pending, so the batch must
+  // fire then — not after the full (here, 20 s) linger.
+  AsyncQServerConfig config;
+  config.worker_threads = 2;
+  config.max_wait_us = 20'000'000;
+  AsyncQServer server(make_backend("software", backend_config(63)),
+                      SimplifiedOutputModel(4, 2), config);
+  AsyncSessionSpec failing = eval_spec(580, 581, 1);
+  failing.env_factory = [](std::uint64_t seed) {
+    return std::make_unique<SlowFailingResetEnv>(seed);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  const std::size_t doomed = server.add_session(failing);
+  const std::size_t healthy = server.add_session(eval_spec(582, 583, 2));
+  EXPECT_TRUE(server.wait(healthy).completed);
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_TRUE(server.wait(doomed).failed);
+  EXPECT_LT(elapsed_s, 5.0) << "the batch sat out its linger";
 }
 
 TEST(AsyncQServer, BoundedReadyQueueBackpressureStillCompletes) {
