@@ -168,7 +168,9 @@ void AsyncQServer::stop() {
     // Live sessions retire at their next step boundary; the batch thread
     // keeps serving their in-flight requests until every one is gone.
     std::unique_lock lk(sessions_mutex_);
-    retire_cv_.wait(lk, [this] { return live_.empty(); });
+    retire_cv_.wait(lk, [this] {
+      return live_.empty() && retire_callbacks_in_flight_ == 0;
+    });
   }
   {
     const std::scoped_lock lk(queue_mutex_);
@@ -688,17 +690,23 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
     const std::scoped_lock qlk(queue_mutex_);
     if (!ready_.empty() && batch_full()) queue_cv_.notify_one();
   };
-  // Callback mode (the router's replica seam): deliver the result with
-  // NO server locks held — the callback re-places rescued sessions onto
-  // other servers, which takes their locks. The session is erased from
-  // live_ only AFTER the callback returns, so stop()'s live_.empty()
-  // wait cannot complete (and tear the owner down) mid-delivery.
+  // Callback mode (the router's replica seam): free the slot first, so a
+  // callback that wakes admission waiters finds it free, then deliver the
+  // result with NO server locks held — the callback re-places rescued
+  // sessions onto other servers, which takes their locks. The in-flight
+  // count keeps stop() from completing (and the owner tearing the server
+  // down) mid-delivery.
   if (config_.on_retire) {
+    {
+      const std::scoped_lock lk(sessions_mutex_);
+      live_.erase(id);  // destroys *s — it owns no further control flow
+      live_count_.store(live_.size(), std::memory_order_relaxed);
+      ++retire_callbacks_in_flight_;
+      wake_full_batch();
+    }
     config_.on_retire(std::move(result));
     const std::scoped_lock lk(sessions_mutex_);
-    live_.erase(id);  // destroys *s — it owns no further control flow
-    live_count_.store(live_.size(), std::memory_order_relaxed);
-    wake_full_batch();
+    --retire_callbacks_in_flight_;
     retire_cv_.notify_all();
     return;
   }

@@ -151,9 +151,11 @@ struct AsyncQServerConfig {
   /// every retiring session's result is handed to this callback INSTEAD
   /// of the internal results map: wait()/drain() must not be used (they
   /// would block forever on ids the callback consumed). Invoked with no
-  /// server locks held, from a worker or the batch thread; the session
-  /// stays counted as live until the callback returns, so stop() cannot
-  /// complete mid-callback. The callback must not call back into this
+  /// server locks held, from a worker or the batch thread. The session
+  /// has already left the live count (live_sessions() no longer counts
+  /// it, so its slot is free to admissions the callback wakes); stop()
+  /// still waits for every in-flight callback to return before it
+  /// completes. The callback must not call back into this
   /// server (it may — and the router's rescue path does — call into
   /// OTHER servers).
   std::function<void(AsyncSessionResult&&)> on_retire;
@@ -394,6 +396,8 @@ class AsyncQServer {
   std::map<std::size_t, AsyncSessionResult> results_;  ///< unclaimed only
   std::set<std::size_t> claimed_;  ///< ids whose result was delivered
   std::size_t next_id_ = 0;
+  /// on_retire callbacks running right now; stop() waits for 0.
+  std::size_t retire_callbacks_in_flight_ = 0;
   /// Lock-free mirror of live_.size() for the batch thread's linger
   /// short-circuit (once every live session has a request pending, no
   /// further request can arrive — fire immediately).

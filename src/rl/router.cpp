@@ -442,9 +442,9 @@ void RouterQServer::finalize_result(std::size_t router_id,
     ++finalized_;
   }
   results_cv_.notify_all();
-  // Every finalization freed a replica slot somewhere: wake bounded-wait
-  // admissions (paired with placement_mutex_; notifying unlocked is
-  // fine).
+  // Every finalization freed a replica slot somewhere (a replica frees
+  // the slot before its on_retire runs): wake bounded-wait admissions
+  // (paired with placement_mutex_; notifying unlocked is fine).
   capacity_cv_.notify_all();
 }
 

@@ -14,6 +14,7 @@
 
 #include "env/registry.hpp"
 #include "linalg/matrix.hpp"
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
@@ -28,37 +29,7 @@ namespace oselm::scenario {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using obs::json_escape;
 
 struct EnvDims {
   std::size_t state_dim = 0;

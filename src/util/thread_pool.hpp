@@ -5,8 +5,6 @@
 //   * run_trials (core/experiment) — trial-level fan-out when averaging
 //     Fig. 5 results (parallel_for; per-trial determinism comes from one
 //     Rng per trial, whatever the scheduling order);
-//   * linalg::kernels — the internal pool that shards the symmetric
-//     rank-1 P update into row bands at n >= 512 (parallel_for);
 //   * rl::QServer — the sharded environment phase of each lockstep tick;
 //   * rl::AsyncQServer — `worker_threads` long-lived lane tasks, each
 //     popping runnable sessions off the server's run queue until stop();
@@ -14,7 +12,7 @@
 //     loop;
 //   * run_chaos (scenario/chaos) — the one-lane watchdog that bounds a
 //     tier's stop().
-// Matrix-level parallelism otherwise uses OpenMP inside linalg.
+// linalg starts no threads: every matrix kernel runs on its caller.
 #pragma once
 
 #include <condition_variable>
@@ -50,8 +48,7 @@ class ThreadPool {
   /// worker lanes. The caller blocks on futures its own lane would have
   /// to execute — a size-1 pool deadlocks outright and larger pools
   /// deadlock whenever every other lane is busy. Nested parallelism must
-  /// use a different pool (the kernel layer's internal P-update pool is
-  /// exactly that).
+  /// use a different pool.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 

@@ -16,12 +16,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <vector>
 
 #include "fixed/fixed_point.hpp"
+#include "linalg/ops.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace oselm::linalg::kernels {
 namespace {
@@ -293,38 +295,9 @@ TEST(KernelSymRank1, ArbitraryRowBandPartitionsAreBitIdentical) {
   }
 }
 
-TEST(KernelSymRank1, ThreadPoolShardingIsBitIdentical) {
-  // Replays the sharded schedule the dispatcher uses at n >= 512 (disjoint
-  // update bands, a barrier, disjoint mirror bands on a real ThreadPool)
-  // and pins bit-identity against the serial composition. n = 600 makes
-  // the balanced band boundaries land off the 16-wide mirror tiles.
-  util::Rng rng(12);
-  util::ThreadPool pool(4);
-  for (const std::size_t n : {512u, 600u}) {
-    const std::vector<double> p0 = random_spd(n, rng);
-    const std::vector<double> u = random_vec(n, rng);
-    for (const double p_scale : {1.0, 1.0 / 0.97}) {
-      const std::vector<double> reference =
-          serial_rank1(p0, n, u, 0.4, p_scale);
-      std::vector<double> sharded = p0;
-      const std::size_t bands = 4;
-      std::vector<std::size_t> bounds = {0, n / 5, n / 2, (3 * n) / 4, n};
-      pool.parallel_for(bands, [&](std::size_t b) {
-        sym_rank1_update_rows(sharded.data(), n, bounds[b], bounds[b + 1],
-                              u.data(), 0.4, p_scale);
-      });
-      pool.parallel_for(bands, [&](std::size_t b) {
-        mirror_lower_rows(sharded.data(), n, bounds[b], bounds[b + 1]);
-      });
-      ASSERT_EQ(sharded, reference) << "n=" << n << " p_scale=" << p_scale;
-    }
-  }
-}
-
 TEST(KernelSymRank1, DispatcherAtParallelSizeMatchesSerialBitForBit) {
-  // The public entry point may (or may not — thread count is host- and
-  // environment-dependent) take the sharded path at n >= 512; either way
-  // it must equal the serial composition exactly.
+  // The public entry point at n = 512, the size that once took a sharded
+  // path, must equal the serial rows + mirror composition exactly.
   util::Rng rng(13);
   const std::size_t n = 512;
   const std::vector<double> p0 = random_spd(n, rng);
@@ -336,6 +309,34 @@ TEST(KernelSymRank1, DispatcherAtParallelSizeMatchesSerialBitForBit) {
     sym_rank1_update(dispatched.data(), n, u.data(), 0.19, p_scale);
     ASSERT_EQ(dispatched, reference) << "p_scale=" << p_scale;
   }
+}
+
+TEST(KernelThreads, LinalgStartsNoThreads) {
+  // Linear algebra runs on the calling thread at every size: neither a
+  // large P-update nor a large GEMM may leave a thread behind. Counted
+  // from /proc/self/task, so Linux only.
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::is_directory(tasks)) {
+    GTEST_SKIP() << "no /proc/self/task on this host";
+  }
+  const auto thread_count = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto before = thread_count();
+
+  util::Rng rng(15);
+  const std::size_t n = 1024;
+  std::vector<double> p = random_vec(n * n, rng);
+  const std::vector<double> u = random_vec(n, rng);
+  sym_rank1_update(p.data(), n, u.data(), 0.19, 1.0);
+
+  MatD a(256, 256);
+  a.fill(0.5);
+  const MatD c = matmul(a, a);
+  EXPECT_EQ(c(255, 255), 64.0);
+
+  EXPECT_EQ(thread_count(), before);
 }
 
 TEST(KernelSymRankK, MatchesDenseDowndateAndStaysSymmetric) {

@@ -602,6 +602,25 @@ TEST(AsyncQServer, DestructionWithSessionsOnTheRunQueueRetiresAndFreesAll) {
   }
 }
 
+TEST(AsyncQServer, OnRetireCallbackRunsAfterTheSlotIsFreed) {
+  // A lone session retires into the callback. By then it must have left
+  // the live count: the router wakes bounded-wait admissions from inside
+  // this callback, and a woken admission has to find the slot free.
+  std::atomic<AsyncQServer*> self{nullptr};
+  std::atomic<std::size_t> live_in_callback{99};
+  AsyncQServerConfig config;
+  config.worker_threads = 1;
+  config.on_retire = [&](AsyncSessionResult&&) {
+    live_in_callback = self.load()->live_sessions();
+  };
+  AsyncQServer server(make_backend("software", backend_config(64)),
+                      SimplifiedOutputModel(4, 2), config);
+  self = &server;
+  server.add_session(eval_spec(590, 591, 3));
+  server.stop();  // returns only after the callback has returned
+  EXPECT_EQ(live_in_callback.load(), 0u);
+}
+
 /// Environment whose reset() sleeps, then throws: its session retires
 /// with an error without ever sending the batch thread a request.
 class SlowFailingResetEnv final : public CartPoleWrapper {
