@@ -162,9 +162,10 @@ int main() {
   }
 
   std::printf(
-      "Caveats (see EXPERIMENTS.md): measured host times make the C++ DQN\n"
-      "baseline far cheaper per step than the paper's PyTorch-on-ARM DQN;\n"
-      "the board-modeled view restores the paper's per-op cost structure.\n"
+      "Caveats: measured host times make the C++ DQN baseline far cheaper\n"
+      "per step than the paper's PyTorch-on-ARM DQN; the board-modeled view\n"
+      "restores the paper's per-op cost structure. The board model's\n"
+      "calibration residuals are not published.\n"
       "CSV: fig5_time_to_complete.csv\n");
   return 0;
 }

@@ -13,7 +13,8 @@
 // the well-known behaviour of NumPy/PyTorch on microcontroller-class
 // CPUs. The two free parameters per framework are calibrated once against
 // the paper's own reported completion times (§4.4) and then held fixed
-// across all designs and sizes; EXPERIMENTS.md reports the residuals.
+// across all designs and sizes. The residuals of that calibration are not
+// published anywhere in this repository.
 #pragma once
 
 #include <cstddef>

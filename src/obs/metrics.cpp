@@ -1,9 +1,11 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "obs/json.hpp"
 #include "util/thread_pool.hpp"
@@ -13,8 +15,8 @@ namespace {
 
 std::atomic<bool> g_timing_enabled{false};
 
-bool valid_metric_name(const std::string& name) noexcept {
-  if (name.empty()) return false;
+/// Throws unless `name` matches the Prometheus grammar.
+void check_metric_name(const std::string& name) {
   const auto head = [](char c) {
     return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
            c == ':';
@@ -22,11 +24,24 @@ bool valid_metric_name(const std::string& name) noexcept {
   const auto tail = [&head](char c) {
     return head(c) || (c >= '0' && c <= '9');
   };
-  if (!head(name.front())) return false;
-  for (const char c : name) {
-    if (!tail(c)) return false;
+  if (name.empty() || !head(name.front()) ||
+      !std::all_of(name.begin(), name.end(), tail)) {
+    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
   }
-  return true;
+}
+
+/// Finds or adds `name` in `slots`; `other_kind` says another kind's map
+/// already holds the name.
+template <class Metric>
+Metric& find_or_add(std::map<std::string, std::unique_ptr<Metric>>& slots,
+                    const std::string& name, bool other_kind) {
+  if (other_kind) {
+    throw std::invalid_argument("obs: metric '" + name +
+                                "' already registered as another kind");
+  }
+  std::unique_ptr<Metric>& slot = slots[name];
+  if (!slot) slot = std::make_unique<Metric>();
+  return *slot;
 }
 
 void append_double(std::string* out, double value) {
@@ -40,6 +55,27 @@ void append_u64(std::string* out, std::uint64_t value) {
   std::snprintf(buf, sizeof(buf), "%llu",
                 static_cast<unsigned long long>(value));
   *out += buf;
+}
+
+/// Prometheus series spelling: `name` or `name{key="value",...}` with
+/// backslash, double quote and newline escaped in label values.
+std::string series_name(const CounterSample& sample) {
+  if (sample.labels.empty()) return sample.name;
+  std::string out = sample.name + '{';
+  for (const auto& [key, value] : sample.labels) {
+    if (out.back() != '{') out += ',';
+    out += key + "=\"";
+    for (const char c : value) {
+      if (c == '\n') {
+        out += "\\n";
+        continue;
+      }
+      if (c == '\\' || c == '"') out += '\\';
+      out += c;
+    }
+    out += '"';
+  }
+  return out + '}';
 }
 
 }  // namespace
@@ -71,54 +107,59 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
-  }
+  check_metric_name(name);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (gauges_.count(name) != 0 || histograms_.count(name) != 0) {
-    throw std::invalid_argument("obs: metric '" + name +
-                                "' already registered as another kind");
-  }
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return find_or_add(counters_, name,
+                     gauges_.contains(name) || histograms_.contains(name));
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
-  }
+  check_metric_name(name);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.count(name) != 0 || histograms_.count(name) != 0) {
-    throw std::invalid_argument("obs: metric '" + name +
-                                "' already registered as another kind");
-  }
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return find_or_add(gauges_, name,
+                     counters_.contains(name) || histograms_.contains(name));
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument("obs: invalid metric name '" + name + "'");
-  }
+  check_metric_name(name);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.count(name) != 0 || gauges_.count(name) != 0) {
-    throw std::invalid_argument("obs: metric '" + name +
-                                "' already registered as another kind");
-  }
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return find_or_add(histograms_, name,
+                     counters_.contains(name) || gauges_.contains(name));
+}
+
+MetricsRegistry::SourceHandle MetricsRegistry::add_source(Source source) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t id = next_source_id_++;
+  sources_.emplace(id, std::move(source));
+  return SourceHandle(this, SourceRemover{id});
+}
+
+void MetricsRegistry::SourceRemover::operator()(
+    MetricsRegistry* registry) const noexcept {
+  const std::lock_guard<std::mutex> lock(registry->mutex_);
+  registry->sources_.erase(id);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.captured_at_us = wall_clock_us();
   const std::lock_guard<std::mutex> lock(mutex_);
-  snap.counters.reserve(counters_.size());
+  std::vector<CounterSample> counters;
   for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace_back(name, counter->value());
+    counters.push_back({name, {}, counter->value()});
+  }
+  for (const auto& [id, source] : sources_) source(counters);
+  std::sort(counters.begin(), counters.end(),
+            [](const CounterSample& a, const CounterSample& b) {
+              return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+            });
+  for (CounterSample& sample : counters) {
+    if (!snap.counters.empty() && snap.counters.back().name == sample.name &&
+        snap.counters.back().labels == sample.labels) {
+      snap.counters.back().value += sample.value;
+    } else {
+      snap.counters.push_back(std::move(sample));
+    }
   }
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
@@ -128,14 +169,18 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, histogram] : histograms_) {
     snap.histograms.emplace_back(name, histogram->snapshot());
   }
-  return snap;  // std::map iteration => names already sorted
+  return snap;  // std::map iteration => gauge/histogram names sorted
 }
 
 std::string MetricsRegistry::prometheus_text(const MetricsSnapshot& snapshot) {
   std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "# TYPE " + name + " counter\n" + name + " ";
-    append_u64(&out, value);
+  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
+    const CounterSample& sample = snapshot.counters[i];
+    if (i == 0 || snapshot.counters[i - 1].name != sample.name) {
+      out += "# TYPE " + sample.name + " counter\n";
+    }
+    out += series_name(sample) + ' ';
+    append_u64(&out, sample.value);
     out += '\n';
   }
   for (const auto& [name, value] : snapshot.gauges) {
@@ -167,11 +212,11 @@ std::string MetricsRegistry::jsonl_line(const MetricsSnapshot& snapshot) {
   append_u64(&out, snapshot.captured_at_us);
   out += ",\"counters\":{";
   bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
+  for (const CounterSample& sample : snapshot.counters) {
     if (!first) out += ',';
     first = false;
-    out += '"' + json_escape(name) + "\":";
-    append_u64(&out, value);
+    out += '"' + json_escape(series_name(sample)) + "\":";
+    append_u64(&out, sample.value);
   }
   out += "},\"gauges\":{";
   first = true;

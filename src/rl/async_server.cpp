@@ -18,53 +18,6 @@ namespace oselm::rl {
 
 using Clock = std::chrono::steady_clock;
 
-namespace {
-
-/// Process-wide serving metrics (totals across every AsyncQServer in the
-/// process — router replicas included). Handles are resolved once; every
-/// update afterwards is a single relaxed atomic op.
-struct AsyncMetrics {
-  obs::Counter& steps;
-  obs::Counter& batches;
-  obs::Counter& batch_rows;
-  obs::Counter& train_updates;
-  obs::Counter& init_trains;
-  obs::Counter& sessions_admitted;
-  obs::Counter& sessions_retired;
-  obs::Counter& admission_rejections;
-  obs::Counter& backend_failures;
-  obs::Histogram& batch_linger_us;
-
-  AsyncMetrics()
-      : steps(obs::MetricsRegistry::global().counter(
-            "oselm_async_steps_total")),
-        batches(obs::MetricsRegistry::global().counter(
-            "oselm_async_batches_total")),
-        batch_rows(obs::MetricsRegistry::global().counter(
-            "oselm_async_batch_rows_total")),
-        train_updates(obs::MetricsRegistry::global().counter(
-            "oselm_async_train_updates_total")),
-        init_trains(obs::MetricsRegistry::global().counter(
-            "oselm_async_init_trains_total")),
-        sessions_admitted(obs::MetricsRegistry::global().counter(
-            "oselm_async_sessions_admitted_total")),
-        sessions_retired(obs::MetricsRegistry::global().counter(
-            "oselm_async_sessions_retired_total")),
-        admission_rejections(obs::MetricsRegistry::global().counter(
-            "oselm_async_admission_rejections_total")),
-        backend_failures(obs::MetricsRegistry::global().counter(
-            "oselm_async_backend_failures_total")),
-        batch_linger_us(obs::MetricsRegistry::global().histogram(
-            "oselm_async_batch_linger_us")) {}
-};
-
-AsyncMetrics& async_metrics() {
-  static AsyncMetrics metrics;
-  return metrics;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
@@ -157,6 +110,10 @@ AsyncQServer::AsyncQServer(OsElmQBackendPtr backend,
     release_lanes();  // or ~ThreadPool would wait on them forever
     throw;
   }
+  metrics_source_ = obs::MetricsRegistry::global().add_source(
+      [this](std::vector<obs::CounterSample>& out) {
+        counters_.export_to(out, "oselm_async_", config_.name);
+      });
 }
 
 AsyncQServer::~AsyncQServer() { stop(); }
@@ -239,14 +196,13 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
   {
     const std::scoped_lock lk(sessions_mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
-      stopping_rejections_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&AsyncServerStats::stopping_rejections>();
       throw AdmissionError(AdmissionRejectReason::kStopping,
                            "AsyncQServer::add_session",
                            session_descriptor(spec), "server is stopping");
     }
     if (live_.size() >= config_.max_live_sessions) {
-      admission_rejections_.fetch_add(1, std::memory_order_relaxed);
-      async_metrics().admission_rejections.add();
+      counters_.add<&AsyncServerStats::admission_rejections>();
       OSELM_TRACE_INSTANT("session", "admission_rejected");
       throw AdmissionError(
           AdmissionRejectReason::kCapacity, "AsyncQServer::add_session",
@@ -266,8 +222,7 @@ std::size_t AsyncQServer::add_session(const AsyncSessionSpec& spec) {
     live_.emplace(id, std::move(session));
     live_count_.store(live_.size(), std::memory_order_relaxed);
   }
-  sessions_admitted_.fetch_add(1, std::memory_order_relaxed);
-  async_metrics().sessions_admitted.add();
+  counters_.add<&AsyncServerStats::sessions_admitted>();
   OSELM_TRACE_INSTANT("session", "admit");
   make_runnable({&raw, 1});
   return id;
@@ -314,20 +269,7 @@ std::size_t AsyncQServer::live_sessions() const {
 
 AsyncServerStats AsyncQServer::stats() const {
   AsyncServerStats out;
-  out.steps = steps_.load(std::memory_order_relaxed);
-  out.episodes = episodes_.load(std::memory_order_relaxed);
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.batch_rows = batch_rows_.load(std::memory_order_relaxed);
-  out.train_updates = train_updates_.load(std::memory_order_relaxed);
-  out.init_trains = init_trains_.load(std::memory_order_relaxed);
-  out.sessions_admitted = sessions_admitted_.load(std::memory_order_relaxed);
-  out.sessions_retired = sessions_retired_.load(std::memory_order_relaxed);
-  out.admission_rejections =
-      admission_rejections_.load(std::memory_order_relaxed);
-  out.stopping_rejections =
-      stopping_rejections_.load(std::memory_order_relaxed);
-  out.env_failures = env_failures_.load(std::memory_order_relaxed);
-  out.backend_failures = backend_failures_.load(std::memory_order_relaxed);
+  counters_.load_into(out);
   out.captured_at_us = obs::wall_clock_us();
   out.uptime_us = obs::Tracer::now_us() - started_at_us_;
   {
@@ -339,18 +281,7 @@ AsyncServerStats AsyncQServer::stats() const {
 }
 
 void AsyncServerStats::merge(const AsyncServerStats& other) {
-  steps += other.steps;
-  episodes += other.episodes;
-  batches += other.batches;
-  batch_rows += other.batch_rows;
-  train_updates += other.train_updates;
-  init_trains += other.init_trains;
-  sessions_admitted += other.sessions_admitted;
-  sessions_retired += other.sessions_retired;
-  admission_rejections += other.admission_rejections;
-  stopping_rejections += other.stopping_rejections;
-  env_failures += other.env_failures;
-  backend_failures += other.backend_failures;
+  obs::add_counters(*this, other, kAsyncServerCounters);
   captured_at_us = std::max(captured_at_us, other.captured_at_us);
   uptime_us = std::max(uptime_us, other.uptime_us);
   step_latency_us.merge(other.step_latency_us);
@@ -358,33 +289,14 @@ void AsyncServerStats::merge(const AsyncServerStats& other) {
 }
 
 std::string AsyncServerStats::to_json() const {
-  char head[768];
-  std::snprintf(
-      head, sizeof(head),
-      "{\n"
-      "  \"steps\": %llu, \"episodes\": %llu,\n"
-      "  \"batches\": %llu, \"batch_rows\": %llu, "
-      "\"mean_batch_rows\": %.3f,\n"
-      "  \"train_updates\": %llu, \"init_trains\": %llu,\n"
-      "  \"sessions_admitted\": %llu, \"sessions_retired\": %llu, "
-      "\"admission_rejections\": %llu, \"stopping_rejections\": %llu,\n"
-      "  \"env_failures\": %llu, \"backend_failures\": %llu,\n"
-      "  \"captured_at_us\": %llu, \"uptime_us\": %llu,\n",
-      static_cast<unsigned long long>(steps),
-      static_cast<unsigned long long>(episodes),
-      static_cast<unsigned long long>(batches),
-      static_cast<unsigned long long>(batch_rows), mean_batch_rows(),
-      static_cast<unsigned long long>(train_updates),
-      static_cast<unsigned long long>(init_trains),
-      static_cast<unsigned long long>(sessions_admitted),
-      static_cast<unsigned long long>(sessions_retired),
-      static_cast<unsigned long long>(admission_rejections),
-      static_cast<unsigned long long>(stopping_rejections),
-      static_cast<unsigned long long>(env_failures),
-      static_cast<unsigned long long>(backend_failures),
-      static_cast<unsigned long long>(captured_at_us),
-      static_cast<unsigned long long>(uptime_us));
-  return std::string(head) +
+  char tail[160];
+  std::snprintf(tail, sizeof(tail),
+                "  \"mean_batch_rows\": %.3f,\n"
+                "  \"captured_at_us\": %llu, \"uptime_us\": %llu,\n",
+                mean_batch_rows(),
+                static_cast<unsigned long long>(captured_at_us),
+                static_cast<unsigned long long>(uptime_us));
+  return "{\n" + obs::counters_json(*this, kAsyncServerCounters) + tail +
          "  \"step_latency_us\": " + step_latency_us.to_json() + ",\n" +
          "  \"batch_rows_hist\": " + batch_rows_hist.to_json() + "\n}";
 }
@@ -563,8 +475,7 @@ void AsyncQServer::run_session(Session& s) {
             std::chrono::duration<double, std::micro>(Clock::now() -
                                                       s.step_start)
                 .count());
-        steps_.fetch_add(1, std::memory_order_relaxed);
-        async_metrics().steps.add();
+        counters_.add<&AsyncServerStats::steps>();
         const bool capped = trainer.episode_step_cap != 0 &&
                             s.steps >= trainer.episode_step_cap;
         if (!s.transition.done && !capped) {
@@ -583,7 +494,7 @@ void AsyncQServer::run_session(Session& s) {
         break;
       }
       case Phase::kEpisodeEnd: {
-        episodes_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add<&AsyncServerStats::episodes>();
         TrainResult& tr = s.result.train;
         tr.episode_steps.push_back(static_cast<double>(s.steps));
         tr.episode_returns.push_back(s.episode_return);
@@ -676,10 +587,9 @@ void AsyncQServer::retire(Session* s, SessionEndCause cause,
     retired_latency_.merge(result.step_latency_us);
   }
   if (cause == SessionEndCause::kEnvError) {
-    env_failures_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add<&AsyncServerStats::env_failures>();
   }
-  sessions_retired_.fetch_add(1, std::memory_order_relaxed);
-  async_metrics().sessions_retired.add();
+  counters_.add<&AsyncServerStats::sessions_retired>();
   OSELM_TRACE_INSTANT("session", "retire");
   const std::size_t id = result.id;
   // Erasing the session lowers the live count, which can make the
@@ -768,9 +678,13 @@ void AsyncQServer::batch_loop() {
         ready_.erase(ready_.begin(),
                      ready_.begin() + static_cast<std::ptrdiff_t>(take));
         if (pending_since_us_ != 0) {
-          // Achieved batch-assembly linger: first enqueue -> this drain.
+          // Achieved batch-assembly linger: first enqueue -> this drain,
+          // process-wide (the counters are exported per server).
+          static obs::Histogram& batch_linger_us =
+              obs::MetricsRegistry::global().histogram(
+                  "oselm_async_batch_linger_us");
           const std::uint64_t now = obs::Tracer::now_us();
-          async_metrics().batch_linger_us.record(
+          batch_linger_us.record(
               static_cast<double>(now - pending_since_us_));
           // Requests left behind re-arm; linger restarts at this drain.
           pending_since_us_ = ready_.empty() ? 0 : now;
@@ -881,10 +795,8 @@ void AsyncQServer::coalesced_predict(QNetwork which, bool use_next_state) {
     }
   }
   q_multi_ = &q_multi;
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_rows_.fetch_add(rows, std::memory_order_relaxed);
-  async_metrics().batches.add();
-  async_metrics().batch_rows.add(rows);
+  counters_.add<&AsyncServerStats::batches>();
+  counters_.add<&AsyncServerStats::batch_rows>(rows);
   {
     const std::scoped_lock lk(stats_mutex_);
     batch_rows_hist_.record(static_cast<double>(rows));
@@ -938,8 +850,7 @@ void AsyncQServer::apply_init_train(Session& s) {
         session_td_target(s, s.buffer[i], util::OpCategory::kInitTrain);
   }
   checked_backend().init_train(x, t);
-  init_trains_.fetch_add(1, std::memory_order_relaxed);
-  async_metrics().init_trains.add();
+  counters_.add<&AsyncServerStats::init_trains>();
   backend_initialized_.store(true, std::memory_order_release);
   s.buffer.clear();
   s.buffer.shrink_to_fit();  // the edge device frees D after init training
@@ -964,8 +875,7 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
   bool had_backend_error = false;
   const auto fail_batch = [&](const std::exception& e) {
     had_backend_error = true;
-    backend_failures_.fetch_add(1, std::memory_order_relaxed);
-    async_metrics().backend_failures.add();
+    counters_.add<&AsyncServerStats::backend_failures>();
     OSELM_TRACE_INSTANT("batch", "backend_failure");
     for (Session* failed : batch_sessions_) {
       for (Request& r : requests) {
@@ -1053,8 +963,7 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
           // network after this session drew its update coin; skip then.
           if (backend_->initialized()) {
             checked_backend().seq_train(s->sa, target);
-            train_updates_.fetch_add(1, std::memory_order_relaxed);
-            async_metrics().train_updates.add();
+            counters_.add<&AsyncServerStats::train_updates>();
           }
           break;
         }
@@ -1062,8 +971,7 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
           const double target = clip_target(*s, s->transition.reward);
           if (backend_->initialized()) {
             checked_backend().seq_train(s->sa, target);
-            train_updates_.fetch_add(1, std::memory_order_relaxed);
-            async_metrics().train_updates.add();
+            counters_.add<&AsyncServerStats::train_updates>();
           }
           break;
         }
@@ -1080,8 +988,7 @@ void AsyncQServer::process_requests(std::vector<Request>& requests) {
       }
     } catch (const std::exception& e) {
       had_backend_error = true;
-      backend_failures_.fetch_add(1, std::memory_order_relaxed);
-      async_metrics().backend_failures.add();
+      counters_.add<&AsyncServerStats::backend_failures>();
       OSELM_TRACE_INSTANT("batch", "backend_failure");
       retire(s, SessionEndCause::kBackendError, failure_text(e));
       continue;

@@ -48,11 +48,15 @@
 //
 // Telemetry: per-step latency and achieved batch size land in
 // util::LatencyHistogram buckets; stats() snapshots them with the
-// counter set (steps, batches, rows, train updates, admissions,
-// rejections) and AsyncServerStats::to_json() emits the JSON the bench
-// and example print.
+// counters of kAsyncServerCounters (steps, batches, rows, train updates,
+// admissions, rejections, failures), AsyncServerStats::to_json() emits
+// the JSON the bench and example print, and every live server exports
+// the same counters to obs::MetricsRegistry::global() as
+// oselm_async_<key>_total{server="<config.name>"}. Each event is counted
+// once, in this server; no process-wide total is kept.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -70,6 +74,7 @@
 #include <vector>
 
 #include "env/environment.hpp"
+#include "obs/metrics.hpp"
 #include "rl/sa_encoding.hpp"
 #include "rl/serving_types.hpp"
 #include "rl/trainer.hpp"
@@ -203,6 +208,24 @@ struct AsyncServerStats {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// AsyncServerStats' counter fields, in JSON order: the one list that
+/// stats(), merge(), to_json() and the metrics export iterate.
+inline constexpr std::array<obs::CounterField<AsyncServerStats>, 12>
+    kAsyncServerCounters{{
+        {"steps", &AsyncServerStats::steps},
+        {"episodes", &AsyncServerStats::episodes},
+        {"batches", &AsyncServerStats::batches},
+        {"batch_rows", &AsyncServerStats::batch_rows},
+        {"train_updates", &AsyncServerStats::train_updates},
+        {"init_trains", &AsyncServerStats::init_trains},
+        {"sessions_admitted", &AsyncServerStats::sessions_admitted},
+        {"sessions_retired", &AsyncServerStats::sessions_retired},
+        {"admission_rejections", &AsyncServerStats::admission_rejections},
+        {"stopping_rejections", &AsyncServerStats::stopping_rejections},
+        {"env_failures", &AsyncServerStats::env_failures},
+        {"backend_failures", &AsyncServerStats::backend_failures},
+    }};
+
 class AsyncQServer {
  public:
   /// `backend` is shared by every session and only ever touched by the
@@ -260,12 +283,12 @@ class AsyncQServer {
   /// seq_train applications so far (lock-free; RouterQServer's periodic
   /// averaging polls it to pace sync rounds).
   [[nodiscard]] std::uint64_t train_update_count() const noexcept {
-    return train_updates_.load(std::memory_order_relaxed);
+    return counters_.value<&AsyncServerStats::train_updates>();
   }
   /// Backend exception events so far (lock-free; the router's health
   /// thread polls it — any growth marks the replica kDegraded).
   [[nodiscard]] std::uint64_t backend_failure_events() const noexcept {
-    return backend_failures_.load(std::memory_order_relaxed);
+    return counters_.value<&AsyncServerStats::backend_failures>();
   }
   /// Consecutive batch-thread passes that ended in a backend exception
   /// (reset to zero by any clean pass). Crossing the router's
@@ -420,19 +443,11 @@ class AsyncQServer {
   mutable std::mutex stats_mutex_;
   util::LatencyHistogram retired_latency_;
   util::LatencyHistogram batch_rows_hist_;
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> episodes_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batch_rows_{0};
-  std::atomic<std::uint64_t> train_updates_{0};
-  std::atomic<std::uint64_t> init_trains_{0};
-  std::atomic<std::uint64_t> sessions_admitted_{0};
-  std::atomic<std::uint64_t> sessions_retired_{0};
-  std::atomic<std::uint64_t> admission_rejections_{0};
-  std::atomic<std::uint64_t> stopping_rejections_{0};
-  std::atomic<std::uint64_t> env_failures_{0};
-  std::atomic<std::uint64_t> backend_failures_{0};
+  obs::CounterSet<kAsyncServerCounters> counters_;
   std::atomic<std::uint64_t> consecutive_backend_failures_{0};
+  /// Exports counters_ to the global registry; declared after them so it
+  /// is destroyed (and the series leave snapshots) before they are.
+  obs::MetricsRegistry::SourceHandle metrics_source_;
 
   // Batch-thread workspaces (only that thread touches them). Batch sizes
   // fluctuate under continuous batching, so the state/Q matrices are

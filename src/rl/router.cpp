@@ -17,42 +17,6 @@ namespace {
 
 constexpr std::size_t kNoReplica = static_cast<std::size_t>(-1);
 
-/// Process-wide router metrics, registered once and cached as references
-/// (see async_server.cpp's AsyncMetrics for the pattern rationale).
-struct RouterMetrics {
-  obs::Counter& spillovers;
-  obs::Counter& placement_rejections;
-  obs::Counter& rescued;
-  obs::Counter& abandoned;
-  obs::Counter& replacements;
-  obs::Counter& syncs;
-  obs::Counter& health_transitions;
-  obs::Histogram& admission_wait_us;
-
-  RouterMetrics()
-      : spillovers(obs::MetricsRegistry::global().counter(
-            "oselm_router_spillovers_total")),
-        placement_rejections(obs::MetricsRegistry::global().counter(
-            "oselm_router_placement_rejections_total")),
-        rescued(obs::MetricsRegistry::global().counter(
-            "oselm_router_rescues_total")),
-        abandoned(obs::MetricsRegistry::global().counter(
-            "oselm_router_rescues_abandoned_total")),
-        replacements(obs::MetricsRegistry::global().counter(
-            "oselm_router_replacements_total")),
-        syncs(obs::MetricsRegistry::global().counter(
-            "oselm_router_averaging_rounds_total")),
-        health_transitions(obs::MetricsRegistry::global().counter(
-            "oselm_router_health_transitions_total")),
-        admission_wait_us(obs::MetricsRegistry::global().histogram(
-            "oselm_router_admission_wait_us")) {}
-};
-
-RouterMetrics& router_metrics() {
-  static RouterMetrics metrics;
-  return metrics;
-}
-
 /// Trace-instant spelling of a health transition; literals so the
 /// record path never allocates.
 void trace_health_transition(ReplicaHealth state) {
@@ -122,6 +86,20 @@ RouterQServer::RouterQServer(RouterConfig config, SimplifiedOutputModel model)
     sync_thread_ = std::thread([this] { sync_loop(); });
   }
   maintenance_thread_ = std::thread([this] { maintenance_loop(); });
+  metrics_source_ = obs::MetricsRegistry::global().add_source(
+      [this](std::vector<obs::CounterSample>& out) {
+        counters_.export_to(out, "oselm_router_", config_.name);
+        // Every timeline entry after a slot's initial kHealthy is one
+        // recorded transition.
+        std::uint64_t transitions = 0;
+        const std::scoped_lock hl(health_mutex_);
+        for (const HealthSlot& slot : health_) {
+          transitions += slot.timeline.size() - 1;
+        }
+        out.push_back({"oselm_router_health_transitions_total",
+                       {{"server", config_.name}},
+                       transitions});
+      });
 }
 
 std::unique_ptr<AsyncQServer> RouterQServer::build_replica(
@@ -273,8 +251,7 @@ std::size_t RouterQServer::pick_replica_locked(const std::string& key,
     if (best == kNoReplica || l < load(best)) best = r;
   }
   if (best != kNoReplica && count_spillover) {
-    spillovers_.fetch_add(1, std::memory_order_relaxed);
-    router_metrics().spillovers.add();
+    counters_.add<&RouterStats::spillovers>();
     OSELM_TRACE_INSTANT("router", "spillover");
   }
   return best;
@@ -284,6 +261,11 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
   const std::string key = spec.affinity_key.empty()
                               ? derived_affinity_key(spec.session)
                               : spec.affinity_key;
+  // Bounded-wait admission latency, process-wide (the router's counters
+  // are exported by its own metrics source).
+  static obs::Histogram& admission_wait_us =
+      obs::MetricsRegistry::global().histogram(
+          "oselm_router_admission_wait_us");
   const std::shared_lock fleet(fleet_mutex_);
   std::unique_lock lk(placement_mutex_);
   const auto deadline =
@@ -293,7 +275,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
   std::uint64_t wait_start_us = 0;  // 0 = never blocked / timing off
   for (;;) {
     if (stopping_.load(std::memory_order_acquire)) {
-      stopping_rejections_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&RouterStats::stopping_rejections>();
       throw AdmissionError(AdmissionRejectReason::kStopping,
                            "RouterQServer::add_session", key,
                            "router is stopping");
@@ -312,11 +294,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
         continue;
       }
       const std::size_t router_id = next_router_id_++;
-      std::uint64_t incarnation = 0;
-      {
-        const std::scoped_lock hl(health_mutex_);
-        incarnation = health_[target].incarnation;
-      }
+      const std::uint64_t incarnation = incarnation_of(target);
       Placement placement;
       placement.replica = target;
       placement.incarnation = incarnation;
@@ -338,10 +316,10 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
       // insert: placement_mutex_ is held across the replica admission
       // AND the recording.
       OSELM_DCHECK_EQ(placements_.size(), next_router_id_);
-      sessions_admitted_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&RouterStats::sessions_admitted>();
       OSELM_TRACE_INSTANT("router", "place");
       if (wait_start_us != 0) {
-        router_metrics().admission_wait_us.record(
+        admission_wait_us.record(
             static_cast<double>(obs::Tracer::now_us() - wait_start_us));
       }
       return router_id;
@@ -351,13 +329,12 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
     // stop()), then re-pick; reject on deadline.
     if (config_.admission_wait_us == 0 ||
         std::chrono::steady_clock::now() >= deadline) {
-      placement_rejections_.fetch_add(1, std::memory_order_relaxed);
-      router_metrics().placement_rejections.add();
+      counters_.add<&RouterStats::placement_rejections>();
       OSELM_TRACE_INSTANT("router", "placement_rejected");
       if (waited) {
-        admission_wait_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add<&RouterStats::admission_wait_timeouts>();
         if (wait_start_us != 0) {
-          router_metrics().admission_wait_us.record(
+          admission_wait_us.record(
               static_cast<double>(obs::Tracer::now_us() - wait_start_us));
         }
       }
@@ -373,7 +350,7 @@ std::size_t RouterQServer::add_session(const RouterSessionSpec& spec) {
     }
     if (!waited) {
       waited = true;
-      admission_waits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add<&RouterStats::admission_waits>();
       if (obs::Tracer::enabled() || obs::timing_enabled()) {
         wait_start_us = obs::Tracer::now_us();
       }
@@ -475,8 +452,7 @@ AsyncSessionResult RouterQServer::wait(std::size_t router_session_id) {
 std::vector<AsyncSessionResult> RouterQServer::drain() {
   std::unique_lock lk(results_mutex_);
   results_cv_.wait(lk, [&] {
-    return finalized_ ==
-           sessions_admitted_.load(std::memory_order_acquire);
+    return finalized_ == counters_.value<&RouterStats::sessions_admitted>();
   });
   std::vector<AsyncSessionResult> out;
   out.reserve(results_.size());
@@ -517,13 +493,17 @@ void RouterQServer::kill_replica(std::size_t replica_index) {
   maintenance_cv_.notify_all();
 }
 
+std::uint64_t RouterQServer::incarnation_of(std::size_t index) const {
+  const std::scoped_lock hl(health_mutex_);
+  return health_[index].incarnation;
+}
+
 void RouterQServer::record_health_event_locked(std::size_t index,
                                                ReplicaHealth state) {
   HealthSlot& slot = health_[index];
   slot.state = state;
   slot.timeline.push_back(
       ReplicaHealthEvent{slot.incarnation, state, now_ms()});
-  router_metrics().health_transitions.add();
   trace_health_transition(state);
 }
 
@@ -560,7 +540,16 @@ std::vector<std::size_t> RouterQServer::observe_health(
 
 void RouterQServer::replace_replica(std::size_t index) {
   OSELM_TRACE_SPAN("router", "replace_replica");
-  // 1. Choose the replacement's seed state: the last fleet average when
+  // 1. Stop the failed incarnation first, so no session can still run to
+  //    completion on it after the kFailed mark. Its live sessions retire
+  //    (kStopped / kBackendError); their callbacks see the mark —
+  //    recorded before this call — and queue themselves for rescue.
+  const std::uint64_t old_incarnation = incarnation_of(index);
+  {
+    const std::shared_lock fleet(fleet_mutex_);
+    replicas_[index]->stop();
+  }
+  // 2. Choose the replacement's seed state: the last fleet average when
   //    periodic averaging has produced one, else a live export off the
   //    first initialized survivor, else fresh weights.
   QNetState seed;
@@ -587,18 +576,6 @@ void RouterQServer::replace_replica(std::size_t index) {
       }
     }
   }
-  // 2. Stop the failed incarnation. Its live sessions retire (kStopped /
-  //    kBackendError); their callbacks see the kFailed mark — recorded
-  //    before this call — and queue themselves for rescue.
-  std::uint64_t old_incarnation = 0;
-  {
-    const std::scoped_lock hl(health_mutex_);
-    old_incarnation = health_[index].incarnation;
-  }
-  {
-    const std::shared_lock fleet(fleet_mutex_);
-    replicas_[index]->stop();
-  }
   // 3. Build the replacement outside every lock (backend construction
   //    and state import are the expensive part).
   std::unique_ptr<AsyncQServer> fresh =
@@ -618,9 +595,8 @@ void RouterQServer::replace_replica(std::size_t index) {
     record_health_event_locked(index, ReplicaHealth::kHealthy);
   }
   fresh.reset();  // destroy the old incarnation outside the fleet lock
-  replacements_.fetch_add(1, std::memory_order_relaxed);
-  router_metrics().replacements.add();
-  if (seeded) replacements_seeded_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add<&RouterStats::replacements>();
+  if (seeded) counters_.add<&RouterStats::replacements_seeded>();
   capacity_cv_.notify_all();  // a whole replica's capacity came back
 }
 
@@ -643,11 +619,7 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
         try {
           const std::size_t local_id =
               replicas_[target]->add_session(placement.spec);
-          std::uint64_t incarnation = 0;
-          {
-            const std::scoped_lock hl(health_mutex_);
-            incarnation = health_[target].incarnation;
-          }
+          const std::uint64_t incarnation = incarnation_of(target);
           placement.replica = target;
           placement.incarnation = incarnation;
           placement.local_id = local_id;
@@ -658,8 +630,7 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
                            job.router_id)
                   .second;
           OSELM_DCHECK(unique);
-          rescued_.fetch_add(1, std::memory_order_relaxed);
-          router_metrics().rescued.add();
+          counters_.add<&RouterStats::rescued>();
           OSELM_TRACE_INSTANT("rescue", "rescued");
           return;  // the re-placed run delivers the final result
         } catch (const AdmissionError&) {
@@ -679,8 +650,7 @@ void RouterQServer::attempt_rescue(RescueJob&& job, bool abandon_all) {
     const std::scoped_lock lk(placement_mutex_);
     rescues = placements_.at(job.router_id).rescues;
   }
-  abandoned_.fetch_add(1, std::memory_order_relaxed);
-  router_metrics().abandoned.add();
+  counters_.add<&RouterStats::abandoned>();
   OSELM_TRACE_INSTANT("rescue", "abandoned");
   const bool shutdown =
       abandon_all || stopping_.load(std::memory_order_acquire);
@@ -809,8 +779,7 @@ bool RouterQServer::average_replicas() {
       backend.import_state(average);
     });
   }
-  syncs_.fetch_add(1, std::memory_order_relaxed);
-  router_metrics().syncs.add();
+  counters_.add<&RouterStats::syncs>();
   return true;
 }
 
@@ -856,21 +825,7 @@ void RouterQServer::sync_loop() {
 RouterStats RouterQServer::stats() const {
   RouterStats out;
   out.replicas = replica_slots_;
-  out.sessions_admitted = sessions_admitted_.load(std::memory_order_relaxed);
-  out.spillovers = spillovers_.load(std::memory_order_relaxed);
-  out.placement_rejections =
-      placement_rejections_.load(std::memory_order_relaxed);
-  out.stopping_rejections =
-      stopping_rejections_.load(std::memory_order_relaxed);
-  out.syncs = syncs_.load(std::memory_order_relaxed);
-  out.rescued = rescued_.load(std::memory_order_relaxed);
-  out.abandoned = abandoned_.load(std::memory_order_relaxed);
-  out.replacements = replacements_.load(std::memory_order_relaxed);
-  out.replacements_seeded =
-      replacements_seeded_.load(std::memory_order_relaxed);
-  out.admission_waits = admission_waits_.load(std::memory_order_relaxed);
-  out.admission_wait_timeouts =
-      admission_wait_timeouts_.load(std::memory_order_relaxed);
+  counters_.load_into(out);
   out.captured_at_us = obs::wall_clock_us();
   out.uptime_us = static_cast<std::uint64_t>(now_ms() * 1000.0);
   out.per_replica.reserve(replica_slots_);
@@ -934,33 +889,14 @@ std::string RouterStats::health_json() const {
 }
 
 std::string RouterStats::to_json() const {
-  char head[768];
-  std::snprintf(
-      head, sizeof(head),
-      "{\n"
-      "  \"replicas\": %llu,\n"
-      "  \"sessions_admitted\": %llu, \"spillovers\": %llu, "
-      "\"placement_rejections\": %llu, \"stopping_rejections\": %llu, "
-      "\"syncs\": %llu,\n"
-      "  \"rescued\": %llu, \"abandoned\": %llu, \"replacements\": %llu, "
-      "\"replacements_seeded\": %llu,\n"
-      "  \"admission_waits\": %llu, \"admission_wait_timeouts\": %llu,\n"
-      "  \"captured_at_us\": %llu, \"uptime_us\": %llu,\n",
-      static_cast<unsigned long long>(replicas),
-      static_cast<unsigned long long>(sessions_admitted),
-      static_cast<unsigned long long>(spillovers),
-      static_cast<unsigned long long>(placement_rejections),
-      static_cast<unsigned long long>(stopping_rejections),
-      static_cast<unsigned long long>(syncs),
-      static_cast<unsigned long long>(rescued),
-      static_cast<unsigned long long>(abandoned),
-      static_cast<unsigned long long>(replacements),
-      static_cast<unsigned long long>(replacements_seeded),
-      static_cast<unsigned long long>(admission_waits),
-      static_cast<unsigned long long>(admission_wait_timeouts),
-      static_cast<unsigned long long>(captured_at_us),
-      static_cast<unsigned long long>(uptime_us));
-  std::string json = std::string(head) + "  \"health\": ";
+  char tail[128];
+  std::snprintf(tail, sizeof(tail),
+                "  \"captured_at_us\": %llu, \"uptime_us\": %llu,\n",
+                static_cast<unsigned long long>(captured_at_us),
+                static_cast<unsigned long long>(uptime_us));
+  std::string json = "{\n  \"replicas\": " + std::to_string(replicas) +
+                     ",\n" + obs::counters_json(*this, kRouterCounters) +
+                     tail + "  \"health\": ";
   json += health_json();
   json += ",\n  \"aggregate\": ";
   json += aggregate.to_json();

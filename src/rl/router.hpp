@@ -31,7 +31,11 @@
 //     bucket-merge; retired incarnations' stats included) next to the
 //     per-replica snapshots, the router's own placement counters, and
 //     the per-replica health timelines; RouterStats::to_json() is what
-//     bench_router and the router_serving example emit.
+//     bench_router and the router_serving example emit. For metrics
+//     scrapes, each replica exports its own counters (labeled
+//     server="<name>/rN", the current incarnation only) and the router
+//     exports only kRouterCounters plus health transitions, labeled
+//     server="<name>".
 //
 // Replica lifecycle (the self-healing tier). Each replica slot carries a
 // health state machine, advanced by a dedicated maintenance thread that
@@ -96,6 +100,7 @@
 // dependent exactly as documented on AsyncQServer.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -113,6 +118,7 @@
 #include <tuple>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "rl/async_server.hpp"
 #include "rl/backend_registry.hpp"
 
@@ -256,6 +262,23 @@ struct RouterStats {
   [[nodiscard]] std::string health_json() const;
 };
 
+/// RouterStats' counter fields, in JSON order: the one list that stats(),
+/// to_json() and the metrics export iterate.
+inline constexpr std::array<obs::CounterField<RouterStats>, 11>
+    kRouterCounters{{
+        {"sessions_admitted", &RouterStats::sessions_admitted},
+        {"spillovers", &RouterStats::spillovers},
+        {"placement_rejections", &RouterStats::placement_rejections},
+        {"stopping_rejections", &RouterStats::stopping_rejections},
+        {"syncs", &RouterStats::syncs},
+        {"rescued", &RouterStats::rescued},
+        {"abandoned", &RouterStats::abandoned},
+        {"replacements", &RouterStats::replacements},
+        {"replacements_seeded", &RouterStats::replacements_seeded},
+        {"admission_waits", &RouterStats::admission_waits},
+        {"admission_wait_timeouts", &RouterStats::admission_wait_timeouts},
+    }};
+
 class RouterQServer {
  public:
   /// Builds `config.replicas` AsyncQServer replicas, each with its own
@@ -384,6 +407,8 @@ class RouterQServer {
   /// skips placement attempts — the shutdown path.
   void process_rescues(bool abandon_all);
   void attempt_rescue(RescueJob&& job, bool abandon_all);
+  /// The incarnation now serving slot `index` (takes health_mutex_).
+  [[nodiscard]] std::uint64_t incarnation_of(std::size_t index) const;
   void record_health_event_locked(std::size_t index, ReplicaHealth state);
   [[nodiscard]] double now_ms() const;
 
@@ -407,8 +432,11 @@ class RouterQServer {
 
   // Lock order: stop_mutex_ > maintenance_mutex_ > sync_mutex_ >
   // fleet_mutex_ > placement_mutex_ > health_mutex_ > results_mutex_.
-  // seed_mutex_ is a leaf. Replica-internal locks rank below every
-  // router mutex. capacity_cv_ pairs with placement_mutex_.
+  // seed_mutex_ is a leaf. The metrics registry's lock ranks between
+  // placement_mutex_ and health_mutex_ (a snapshot runs the export
+  // source, which reads the health timelines). Replica-internal locks
+  // rank below every router mutex. capacity_cv_ pairs with
+  // placement_mutex_.
 
   /// Guards the replica pointer array against replacement swaps: every
   /// reader (admission, sync, stats, run_exclusive_*) holds it shared;
@@ -438,17 +466,7 @@ class RouterQServer {
   std::set<std::size_t> claimed_;
   std::size_t finalized_ = 0;  ///< results ever deposited (claimed incl.)
 
-  std::atomic<std::uint64_t> spillovers_{0};
-  std::atomic<std::uint64_t> placement_rejections_{0};
-  std::atomic<std::uint64_t> stopping_rejections_{0};
-  std::atomic<std::uint64_t> sessions_admitted_{0};
-  std::atomic<std::uint64_t> syncs_{0};
-  std::atomic<std::uint64_t> rescued_{0};
-  std::atomic<std::uint64_t> abandoned_{0};
-  std::atomic<std::uint64_t> replacements_{0};
-  std::atomic<std::uint64_t> replacements_seeded_{0};
-  std::atomic<std::uint64_t> admission_waits_{0};
-  std::atomic<std::uint64_t> admission_wait_timeouts_{0};
+  obs::CounterSet<kRouterCounters> counters_;
   std::atomic<bool> stopping_{false};
 
   // Maintenance thread (health polling, kills, replacement, rescue).
@@ -471,6 +489,9 @@ class RouterQServer {
   bool has_last_average_ = false;
   std::mutex stop_mutex_;               ///< serializes stop() callers
   std::thread sync_thread_;
+  /// Exports counters_ and the health-transition count; declared last so
+  /// it is destroyed first, before anything its callback reads.
+  obs::MetricsRegistry::SourceHandle metrics_source_;
 };
 
 }  // namespace oselm::rl

@@ -1,5 +1,7 @@
 #include "scenario/chaos.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -143,8 +145,13 @@ struct Tier {
   std::function<rl::AsyncSessionResult(std::size_t)> wait;
   std::function<void()> stop;
   std::function<std::future<void>(std::uint64_t)> stall;
-  /// Hard-kills one replica (router only; fires before the planned burst).
+  /// Hard-kills one replica (router only; see drive_tier for when).
   std::function<void(std::size_t)> kill;
+  /// Whether one replica slot holds a live session (router only).
+  std::function<bool(std::size_t)> holds_sessions;
+  /// Occupies one replica's batch thread until the returned flag is set
+  /// (router only).
+  std::function<std::shared_ptr<std::atomic<bool>>(std::size_t)> hold;
   /// Called once per collected result (router: placement accounting).
   std::function<void(const rl::AsyncSessionResult&)> on_result;
   /// Invariants only the tier can check (server counters, placement).
@@ -184,19 +191,46 @@ void drive_tier(const ScenarioSpec& spec, const ScenarioSchedule& schedule,
   std::set<std::size_t> distinct_ids;
   bool duplicate_id = false;
 
+  // The planned hard kill. From the burst before it on, the victim is
+  // held (its batch thread occupied), so a session placed on it cannot
+  // finish before it dies. The kill is armed before its burst and fires
+  // once the victim holds a live session: at arming, else after the next
+  // admission that lands on it, else after the last burst. The hold ends
+  // once the router has marked the victim failed, and the router stops a
+  // failed replica before anything else, so its sessions are stopped and
+  // rescued onto survivors rather than run to completion.
+  const std::size_t hold_burst =
+      schedule.kill_before_burst == 0 ? 0 : schedule.kill_before_burst - 1;
+  std::shared_ptr<std::atomic<bool>> victim_hold;
+  struct ReleaseHold {
+    const std::shared_ptr<std::atomic<bool>>& hold;
+    ~ReleaseHold() {
+      if (hold) hold->store(true, std::memory_order_release);
+    }
+  } release_hold{victim_hold};
+  bool kill_armed = false;
+  const auto fire_kill = [&] {
+    OSELM_TRACE_INSTANT("scenario", "kill_injected");
+    tier.kill(schedule.kill_replica);
+    victim_hold->store(true, std::memory_order_release);
+    kill_armed = false;
+  };
+  const auto victim_busy = [&] {
+    return tier.holds_sessions(schedule.kill_replica);
+  };
+
   for (std::size_t b = 0; b < schedule.bursts.size(); ++b) {
     OSELM_TRACE_SPAN("scenario", "burst");
     if (schedule.stall_planned && b == schedule.stall_before_burst) {
       OSELM_TRACE_INSTANT("scenario", "stall_injected");
       stall_future = tier.stall(schedule.stall_ms);
     }
-    if (schedule.kill_planned && b == schedule.kill_before_burst &&
-        tier.kill) {
-      // The planned hard kill: the replica's sessions retire with
-      // backend-error and the router rescues them onto survivors while
-      // the remaining bursts keep admitting.
-      OSELM_TRACE_INSTANT("scenario", "kill_injected");
-      tier.kill(schedule.kill_replica);
+    if (schedule.kill_planned && tier.kill && b == hold_burst) {
+      victim_hold = tier.hold(schedule.kill_replica);
+    }
+    if (schedule.kill_planned && tier.kill && b == schedule.kill_before_burst) {
+      kill_armed = true;
+      if (victim_busy()) fire_kill();
     }
     const PlannedBurst& burst = schedule.bursts[b];
     std::this_thread::sleep_until(
@@ -216,6 +250,7 @@ void drive_tier(const ScenarioSpec& spec, const ScenarioSchedule& schedule,
         if (!distinct_ids.insert(id).second) duplicate_id = true;
         admitted.emplace_back(id, planned.train);
         ++verdict.admitted;
+        if (kill_armed && victim_busy()) fire_kill();
       } catch (const rl::AdmissionError& e) {
         live_keys.erase(planned.affinity_key);
         if (e.reason() == rl::AdmissionRejectReason::kCapacity) {
@@ -226,6 +261,7 @@ void drive_tier(const ScenarioSpec& spec, const ScenarioSchedule& schedule,
       }
     }
   }
+  if (kill_armed) fire_kill();
 
   bool stopped_midrun = false;
   if (spec.stop_after_ms > 0) {
@@ -495,7 +531,44 @@ ScenarioVerdict run_router(const ScenarioSpec& spec,
         });
   };
   tier.kill = [&router](std::size_t replica) {
+    const std::size_t before =
+        router.stats().health.at(replica).timeline.size();
     router.kill_replica(replica);
+    // Return once the maintenance thread has marked the slot failed; a
+    // held slot's stop(), next after the mark, waits for the release.
+    // Bounded: a replacement of another slot may be exporting seed state
+    // from the held victim, which must not deadlock the kill.
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(1);
+    while (Clock::now() < deadline) {
+      const std::vector<rl::ReplicaHealthEvent> timeline =
+          router.stats().health.at(replica).timeline;
+      if (std::any_of(timeline.begin() + static_cast<std::ptrdiff_t>(before),
+                      timeline.end(), [](const rl::ReplicaHealthEvent& e) {
+                        return e.state == rl::ReplicaHealth::kFailed;
+                      })) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  };
+  tier.hold = [&router](std::size_t replica) {
+    auto release = std::make_shared<std::atomic<bool>>(false);
+    const std::thread::id driver = std::this_thread::get_id();
+    (void)router.run_exclusive_on(
+        replica, [release, driver](rl::OsElmQBackend&) {
+          // Run inline by an already stopped replica: nothing to hold.
+          if (std::this_thread::get_id() == driver) return;
+          while (!release->load(std::memory_order_acquire)) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+        });
+    return release;
+  };
+  tier.holds_sessions = [&router](std::size_t replica) {
+    // A slot admits before it counts and counts a retirement before it
+    // frees the slot, so admitted > retired implies a live session.
+    const rl::AsyncServerStats slot = router.stats().per_replica.at(replica);
+    return slot.sessions_admitted > slot.sessions_retired;
   };
   tier.on_result = [&served_by, &rescued_results, &rescued_noncompleted](
                        const rl::AsyncSessionResult& result) {
@@ -636,17 +709,23 @@ std::string verdict_json(const ScenarioVerdict& verdict,
   for (std::size_t i = 0; i < verdict.invariants.size(); ++i) {
     const InvariantResult& inv = verdict.invariants[i];
     out << "    {\"name\": \"" << json_escape(inv.name) << "\", \"pass\": "
-        << (inv.pass ? "true" : "false");
-    // Details carry timing-dependent counts, so they belong to the full
-    // verdict only — the deterministic core stays byte-stable.
-    if (with_telemetry) {
-      out << ", \"detail\": \"" << json_escape(inv.detail) << "\"";
-    }
-    out << "}" << (i + 1 < verdict.invariants.size() ? "," : "") << "\n";
+        << (inv.pass ? "true" : "false") << "}"
+        << (i + 1 < verdict.invariants.size() ? "," : "") << "\n";
   }
   out << "  ]";
+  // Everything above is the deterministic core; the full verdict only
+  // appends to it. Invariant details carry timing-dependent counts, so
+  // they live under telemetry.
   if (with_telemetry) {
     out << ",\n  \"telemetry\": {\n";
+    out << "    \"invariant_details\": [\n";
+    for (std::size_t i = 0; i < verdict.invariants.size(); ++i) {
+      const InvariantResult& inv = verdict.invariants[i];
+      out << "      {\"name\": \"" << json_escape(inv.name)
+          << "\", \"detail\": \"" << json_escape(inv.detail) << "\"}"
+          << (i + 1 < verdict.invariants.size() ? "," : "") << "\n";
+    }
+    out << "    ],\n";
     out << "    \"attempted\": " << verdict.attempted << ",\n";
     out << "    \"admitted\": " << verdict.admitted << ",\n";
     out << "    \"rejected_capacity\": " << verdict.rejected_capacity

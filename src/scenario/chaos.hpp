@@ -40,9 +40,11 @@
 //
 // The verdict separates a DETERMINISTIC core (scenario identity, schedule
 // digest, invariant outcomes — identical across runs of the same spec +
-// seed) from a "telemetry" subtree (counts, latencies, wall clock — all
-// timing-dependent); ScenarioVerdict::deterministic_json() is the core
-// alone, which the reproducibility tests compare byte-for-byte.
+// seed) from a "telemetry" subtree (counts, latencies, wall clock and the
+// invariant detail strings — all timing-dependent);
+// ScenarioVerdict::deterministic_json() is the core alone, which the
+// reproducibility tests compare byte-for-byte, and to_json() (the
+// archived verdict file) is that same text up to "telemetry".
 #pragma once
 
 #include <cstdint>
@@ -96,7 +98,8 @@ struct ScenarioVerdict {
   /// "<name>.health.json" artifact by the runner/CLI. Empty elsewhere.
   std::string health_json;
 
-  /// Full verdict: deterministic core + "telemetry" subtree.
+  /// Full verdict: the deterministic core's text, then the "telemetry"
+  /// subtree (invariant details included).
   [[nodiscard]] std::string to_json() const;
   /// Core alone — byte-identical across runs of the same spec + seed.
   [[nodiscard]] std::string deterministic_json() const;

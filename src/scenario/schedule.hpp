@@ -55,7 +55,8 @@ struct ScenarioSchedule {
   double backend_fault_rate = 0.0;
   std::uint64_t backend_fault_seed = 0;
   std::size_t backend_fault_replica = 0;  ///< router: faulted replica
-  /// Replica-kill event: kill_replica hard-killed before this burst.
+  /// Replica-kill event: kill_replica hard-killed from this burst on,
+  /// once it holds a live session (see ScenarioSpec).
   bool kill_planned = false;
   std::size_t kill_replica = 0;
   std::size_t kill_before_burst = 0;

@@ -99,10 +99,12 @@ struct ScenarioSpec {
   double backend_fault_rate = 0.0;          ///< per-call probability [0, 1]
   std::size_t backend_fault_replica = 0;    ///< router: faulted replica
 
-  // Replica-kill event (router only): kill_replica is hard-killed via
-  // RouterQServer::kill_replica just before burst kill_at_burst fires —
-  // its live sessions are rescued onto survivors and the slot is
-  // replaced. Spec-file form: "kill = none" or "kill = <replica>@<burst>".
+  // Replica-kill event (router only): kill_replica is held from the
+  // burst before kill_at_burst and hard-killed via
+  // RouterQServer::kill_replica from burst kill_at_burst on, once it
+  // holds a live session — its live sessions are rescued onto survivors
+  // and the slot is replaced. Spec-file form: "kill = none" or
+  // "kill = <replica>@<burst>".
   bool kill_planned = false;
   std::size_t kill_replica = 0;
   std::size_t kill_at_burst = 0;

@@ -6,7 +6,10 @@
 //     refuses cross-kind re-registration; same-kind re-registration
 //     returns the SAME handle;
 //   * snapshots are wall-clock stamped and name-sorted;
-//   * the Prometheus exposition format is pinned (dashboards parse it);
+//   * a source's labeled series appear in snapshots only while its
+//     handle lives, and equal series from two sources are summed;
+//   * the Prometheus exposition format is pinned (dashboards parse it),
+//     labeled families included;
 //   * every JSONL line is a self-contained parseable JSON object;
 //   * the sampler appends at least an initial and a final snapshot and
 //     flips timing_enabled() for its lifetime.
@@ -86,11 +89,59 @@ TEST(MetricsRegistry, SnapshotIsStampedAndSorted) {
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_GT(snap.captured_at_us, 0u);
   ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].first, "aa_total");
-  EXPECT_EQ(snap.counters[1].first, "zz_total");
-  EXPECT_EQ(snap.counters[1].second, 7u);
+  EXPECT_EQ(snap.counters[0].name, "aa_total");
+  EXPECT_EQ(snap.counters[1].name, "zz_total");
+  EXPECT_EQ(snap.counters[1].value, 7u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges[0].second, 3.0);
+}
+
+/// A source exporting one two-series family, labeled server="a"/"b".
+MetricsRegistry::SourceHandle add_served_source(MetricsRegistry& registry,
+                                                std::string b_label) {
+  return registry.add_source(
+      [b_label = std::move(b_label)](std::vector<CounterSample>& out) {
+        out.push_back({"served_total", {{"server", b_label}}, 5});
+        out.push_back({"served_total", {{"server", "a"}}, 2});
+      });
+}
+
+TEST(MetricsRegistry, SourcesExportLabeledSeriesWhileTheirHandleLives) {
+  MetricsRegistry registry;
+  registry.counter("plain_total").add(1);
+  {
+    const MetricsRegistry::SourceHandle handle =
+        add_served_source(registry, "b");
+    const MetricsSnapshot snap = registry.snapshot();
+    ASSERT_EQ(snap.counters.size(), 3u);
+    EXPECT_EQ(snap.counters[0].name, "plain_total");
+    EXPECT_TRUE(snap.counters[0].labels.empty());
+    // Sorted by (name, labels): server="a" before server="b".
+    EXPECT_EQ(snap.counters[1].name, "served_total");
+    EXPECT_EQ(snap.counters[1].labels.at(0).second, "a");
+    EXPECT_EQ(snap.counters[1].value, 2u);
+    EXPECT_EQ(snap.counters[2].labels.at(0).second, "b");
+    EXPECT_EQ(snap.counters[2].value, 5u);
+  }
+  // The handle is gone, and so are its series.
+  ASSERT_EQ(registry.snapshot().counters.size(), 1u);
+
+  // Two live sources with an equal series (servers sharing a name): the
+  // snapshot sums it into one series, so the exposition stays valid.
+  MetricsRegistry::SourceHandle first = add_served_source(registry, "b");
+  MetricsRegistry::SourceHandle second = add_served_source(registry, "b");
+  MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 3u);
+  EXPECT_EQ(snap.counters[1].value, 4u);
+  EXPECT_EQ(snap.counters[2].value, 10u);
+  // A moved-from handle owns nothing; reset() removes the source once.
+  MetricsRegistry::SourceHandle moved = std::move(first);
+  first.reset();
+  EXPECT_EQ(registry.snapshot().counters[2].value, 10u);
+  moved.reset();
+  moved.reset();
+  snap = registry.snapshot();
+  EXPECT_EQ(snap.counters[2].value, 5u);
 }
 
 TEST(MetricsRegistry, PrometheusTextFormatIsPinned) {
@@ -98,10 +149,22 @@ TEST(MetricsRegistry, PrometheusTextFormatIsPinned) {
   registry.counter("requests_total").add(3);
   registry.gauge("queue_depth").set(2.5);
   registry.histogram("latency_us").record(10.0);
+  // A label value needing every escape: backslash, quote, newline.
+  const MetricsRegistry::SourceHandle handle =
+      add_served_source(registry, "r\\1\"x\ny");
   const std::string text = registry.prometheus_text();
 
   EXPECT_NE(text.find("# TYPE requests_total counter\nrequests_total 3\n"),
             std::string::npos)
+      << text;
+  // One # TYPE line per labeled family, then each series, labels sorted.
+  EXPECT_NE(text.find("# TYPE served_total counter\n"
+                      "served_total{server=\"a\"} 2\n"
+                      "served_total{server=\"r\\\\1\\\"x\\ny\"} 5\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("# TYPE served_total"),
+            text.rfind("# TYPE served_total"))
       << text;
   EXPECT_NE(text.find("# TYPE queue_depth gauge\nqueue_depth 2.5\n"),
             std::string::npos)
@@ -122,6 +185,8 @@ TEST(MetricsRegistry, JsonlLineIsSelfContainedJson) {
   registry.counter("events_total").add(5);
   registry.gauge("level").set(-1.25);
   registry.histogram("lat_us").record(100.0);
+  const MetricsRegistry::SourceHandle handle =
+      add_served_source(registry, "b");
   const std::string line = MetricsRegistry::jsonl_line(registry.snapshot());
 
   JsonValue root;
@@ -136,6 +201,10 @@ TEST(MetricsRegistry, JsonlLineIsSelfContainedJson) {
   const JsonValue* events = counters->find("events_total");
   ASSERT_NE(events, nullptr);
   EXPECT_DOUBLE_EQ(events->number_value, 5.0);
+  // Labeled series carry their Prometheus spelling as the key.
+  const JsonValue* served = counters->find("served_total{server=\"b\"}");
+  ASSERT_NE(served, nullptr) << line;
+  EXPECT_DOUBLE_EQ(served->number_value, 5.0);
   const JsonValue* gauges = root.find("gauges");
   ASSERT_NE(gauges, nullptr);
   const JsonValue* level = gauges->find("level");

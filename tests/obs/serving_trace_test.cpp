@@ -3,9 +3,16 @@
 // rescues) must export a Chrome trace-event JSON that validates, shows
 // the batch/train/rescue/averaging span categories, and spans at least
 // two distinct threads — the acceptance criterion for the tracing layer.
+// The metrics half: every live server exports its own counters, labeled
+// server="<name>", equal to its stats(), and a destroyed server's series
+// leave the next snapshot (also while the sampler is running).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,6 +21,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "rl/backend_registry.hpp"
 #include "rl/router.hpp"
 #include "util/rng.hpp"
 
@@ -157,6 +165,170 @@ TEST(ServingTrace, AsyncStatsCarryCaptureStamps) {
   merged.merge(older);
   EXPECT_EQ(merged.captured_at_us, 100u);  // keep newest stamp
   EXPECT_EQ(merged.uptime_us, 80u);        // keep largest uptime
+}
+
+/// The counter series a snapshot holds for one server label, by name.
+std::map<std::string, std::uint64_t> server_series(
+    const MetricsSnapshot& snapshot, const std::string& server) {
+  std::map<std::string, std::uint64_t> out;
+  for (const CounterSample& sample : snapshot.counters) {
+    if (sample.labels.size() == 1 && sample.labels[0].first == "server" &&
+        sample.labels[0].second == server) {
+      out.emplace(sample.name, sample.value);
+    }
+  }
+  return out;
+}
+
+/// Expects `series` to hold exactly `prefix<key>_total` = stats.key for
+/// every field of `fields` (plus `extra` further series).
+template <class Stats, std::size_t N>
+void expect_series_equal_stats(
+    const std::map<std::string, std::uint64_t>& series, const Stats& stats,
+    const std::array<CounterField<Stats>, N>& fields,
+    const std::string& prefix, std::size_t extra = 0) {
+  EXPECT_EQ(series.size(), N + extra);
+  for (const CounterField<Stats>& field : fields) {
+    const auto it = series.find(prefix + field.key + "_total");
+    ASSERT_NE(it, series.end()) << field.key;
+    EXPECT_EQ(it->second, stats.*field.member) << field.key;
+  }
+}
+
+std::unique_ptr<rl::AsyncQServer> export_server(const std::string& name) {
+  rl::BackendConfig backend = traced_router_config().backend;
+  rl::AsyncQServerConfig config = traced_router_config().server;
+  config.name = name;
+  return std::make_unique<rl::AsyncQServer>(
+      rl::make_backend("software", backend), SimplifiedOutputModel(4, 2),
+      config);
+}
+
+TEST(ServingMetrics, StandaloneServerExportsItsStatsCounters) {
+  const std::unique_ptr<rl::AsyncQServer> server = export_server("solo");
+  for (std::size_t i = 0; i < 3; ++i) {
+    server->add_session(
+        session_spec(AsyncSessionMode::kTrain, 40 + i, 50 + i, 4));
+  }
+  (void)server->drain();
+  const rl::AsyncServerStats stats = server->stats();
+  ASSERT_GT(stats.steps, 0u);
+  ASSERT_GT(stats.train_updates, 0u);
+  expect_series_equal_stats(
+      server_series(MetricsRegistry::global().snapshot(), "solo"), stats,
+      rl::kAsyncServerCounters, "oselm_async_");
+  // The text exposition carries the same labeled series.
+  EXPECT_NE(MetricsRegistry::global().prometheus_text().find(
+                "oselm_async_steps_total{server=\"solo\"} " +
+                std::to_string(stats.steps) + "\n"),
+            std::string::npos);
+}
+
+TEST(ServingMetrics, RouterExportsEachReplicaAndItsOwnCounters) {
+  RouterConfig config = traced_router_config();
+  config.name = "export-fleet";
+  RouterQServer router(config, SimplifiedOutputModel(4, 2));
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 0; i < 4; ++i) {
+    ids.push_back(router.add_session(
+        {session_spec(AsyncSessionMode::kTrain, 60 + i, 70 + i, 6), ""}));
+  }
+  for (const std::size_t id : ids) (void)router.wait(id);
+  // A kill adds health transitions and a replacement incarnation, whose
+  // series restart from zero with the new server.
+  router.kill_replica(0);
+  while (router.stats().replacements == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  (void)router.drain();
+  router.stop();
+
+  const MetricsSnapshot snapshot = MetricsRegistry::global().snapshot();
+  for (std::size_t r = 0; r < router.replica_count(); ++r) {
+    const std::string name = "export-fleet/r" + std::to_string(r);
+    SCOPED_TRACE(name);
+    expect_series_equal_stats(server_series(snapshot, name),
+                              router.replica(r).stats(),
+                              rl::kAsyncServerCounters, "oselm_async_");
+  }
+  const rl::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.sessions_admitted, 4u);
+  EXPECT_EQ(stats.replacements, 1u);
+  const std::map<std::string, std::uint64_t> own =
+      server_series(snapshot, "export-fleet");
+  expect_series_equal_stats(own, stats, rl::kRouterCounters,
+                            "oselm_router_", /*extra=*/1);
+  std::uint64_t transitions = 0;
+  for (const rl::ReplicaHealthInfo& info : stats.health) {
+    transitions += info.timeline.size() - 1;
+  }
+  EXPECT_EQ(transitions, 3u);  // failed, replaced, healthy
+  EXPECT_EQ(own.at("oselm_router_health_transitions_total"), transitions);
+  // No process-wide serving totals: every serving series is labeled.
+  for (const CounterSample& sample : snapshot.counters) {
+    if (sample.name.rfind("oselm_", 0) == 0) {
+      EXPECT_FALSE(sample.labels.empty()) << sample.name;
+    }
+  }
+}
+
+TEST(ServingMetrics, LiveServersExportSeparatelyAndLeaveWhenDestroyed) {
+  std::unique_ptr<rl::AsyncQServer> a = export_server("left");
+  std::unique_ptr<rl::AsyncQServer> b = export_server("right");
+  (void)a->wait(
+      a->add_session(session_spec(AsyncSessionMode::kEvaluate, 1, 2, 2)));
+  (void)b->wait(
+      b->add_session(session_spec(AsyncSessionMode::kEvaluate, 3, 4, 3)));
+
+  MetricsSnapshot snapshot = MetricsRegistry::global().snapshot();
+  const auto left = server_series(snapshot, "left");
+  const auto right = server_series(snapshot, "right");
+  EXPECT_EQ(left.at("oselm_async_steps_total"), a->stats().steps);
+  EXPECT_EQ(right.at("oselm_async_steps_total"), b->stats().steps);
+  EXPECT_EQ(left.at("oselm_async_sessions_admitted_total"), 1u);
+  EXPECT_EQ(right.at("oselm_async_sessions_admitted_total"), 1u);
+
+  a.reset();
+  snapshot = MetricsRegistry::global().snapshot();
+  EXPECT_TRUE(server_series(snapshot, "left").empty());
+  EXPECT_EQ(server_series(snapshot, "right").at("oselm_async_steps_total"),
+            b->stats().steps);
+  b.reset();
+  EXPECT_TRUE(
+      server_series(MetricsRegistry::global().snapshot(), "right").empty());
+}
+
+TEST(ServingMetrics, SamplerSnapshotsWhileServersAreDestroyed) {
+  // The sampler lane runs each server's export source while servers are
+  // built, serve and are destroyed on this thread; under TSan this is
+  // the proof that the source handle's removal orders against snapshots.
+  const std::string path =
+      ::testing::TempDir() + "/oselm_serving_metrics_test.jsonl";
+  ASSERT_TRUE(MetricsRegistry::global().start_sampler(path, 1));
+  for (std::size_t i = 0; i < 20; ++i) {
+    const std::unique_ptr<rl::AsyncQServer> server =
+        export_server("churn-" + std::to_string(i % 2));
+    for (std::size_t s = 0; s < 2; ++s) {
+      server->add_session(
+          session_spec(AsyncSessionMode::kEvaluate, 80 + i, 90 + s, 2));
+    }
+    (void)server->drain();
+  }
+  MetricsRegistry::global().stop_sampler();
+
+  std::ifstream file(path);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(file, line)) {
+    ++lines;
+    JsonValue root;
+    std::string error;
+    ASSERT_TRUE(parse_json(line, &root, &error)) << error << "\n" << line;
+  }
+  EXPECT_GE(lines, 2u);
+  // The last line was written after every server was destroyed.
+  EXPECT_EQ(line.find("churn-"), std::string::npos) << line;
+  std::remove(path.c_str());
 }
 
 }  // namespace

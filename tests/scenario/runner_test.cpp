@@ -118,6 +118,23 @@ TEST(ScenarioRunner, DeterministicJsonIsByteIdenticalAcrossRuns) {
             std::string::npos);
 }
 
+TEST(ScenarioRunner, FullVerdictBeginsWithTheDeterministicCore) {
+  // The archived verdict file (to_json) must be diffable against the
+  // core: its text up to "telemetry" is the core byte for byte, and the
+  // timing-dependent invariant details sit under telemetry.
+  const ScenarioVerdict verdict = ScenarioRunner(small_async()).run();
+  std::string core = verdict.deterministic_json();
+  const std::string full = verdict.to_json();
+  ASSERT_GE(core.size(), 3u);
+  ASSERT_EQ(core.substr(core.size() - 3), "\n}\n");
+  core.resize(core.size() - 3);
+  const std::size_t telemetry = full.find(",\n  \"telemetry\"");
+  ASSERT_NE(telemetry, std::string::npos) << full;
+  EXPECT_EQ(full.substr(0, telemetry), core);
+  EXPECT_EQ(core.find("\"detail\""), std::string::npos) << core;
+  EXPECT_GT(full.find("\"detail\""), telemetry) << full;
+}
+
 TEST(ScenarioRunner, SpikeFaultsPreserveEvaluateTrajectories) {
   // Latency-only faults must not change WHAT the server computes, only
   // WHEN: an eval-only workload drives bit-identical trajectories — and
