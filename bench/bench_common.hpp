@@ -150,6 +150,11 @@ inline util::OpBreakdown to_board_seconds(const util::OpBreakdown& measured,
 /// Paper Figure 5 completion times [s] (designs x units), -1 = did not
 /// complete. Order: ELM, OS-ELM, OS-ELM-L2, OS-ELM-Lipschitz,
 /// OS-ELM-L2-Lipschitz, DQN, FPGA.
+///
+/// The abstract (PAPER.md) claims 29.77x (OS-ELM) and 89.40x (FPGA) over
+/// DQN at N = 64. 2208.897 / 74.20 = 29.77 agrees with this table, but
+/// 2208.897 / 89.40 = 24.71 s, not the 17.52 s below (126.08x). Which one
+/// Fig. 5 shows is unverified; 17.52 stays, as perfbench prints it.
 struct PaperFig5Row {
   std::size_t units;
   double seconds[7];

@@ -266,8 +266,9 @@ void BM_DqnTrainStep(benchmark::State& state) {
 BENCHMARK(BM_DqnTrainStep)->Arg(32)->Arg(64)->Arg(128)->Arg(192);
 
 void BM_SymRank1Update(benchmark::State& state) {
-  // The kernel behind seq_train_one's P update (upper triangle + mirrored
-  // lower). Toggle arg(1) to time the scalar reference instead.
+  // The kernel behind seq_train_one's P update: one fma sweep over the
+  // full square (both triangles, no mirror pass). Toggle arg(1) to time
+  // the scalar reference instead.
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool simd = state.range(1) == 1;
   linalg::kernels::set_simd_enabled(simd &&
@@ -278,8 +279,10 @@ void BM_SymRank1Update(benchmark::State& state) {
   linalg::add_diagonal_inplace(p, 1.0);
   linalg::VecD u(n);
   rng.fill_uniform(u, -1.0, 1.0);
+  linalg::VecD w(n);
   for (auto _ : state) {
-    linalg::kernels::sym_rank1_update(p.data(), n, u.data(), 1e-4, 1.0);
+    linalg::kernels::sym_rank1_update(p.data(), n, u.data(), 1e-4, 1.0,
+                                      w.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -287,6 +290,32 @@ void BM_SymRank1Update(benchmark::State& state) {
   linalg::kernels::reset_simd_override();
 }
 BENCHMARK(BM_SymRank1Update)
+    ->ArgsProduct({{32, 64, 128, 192}, {0, 1}})
+    ->ArgNames({"n", "simd"});
+
+void BM_PhMatvec(benchmark::State& state) {
+  // The other half of seq_train_one: u = P h through the dispatched
+  // matvec kernel (four rows per pass under SIMD). Toggle arg(1) to time
+  // the scalar reference instead.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool simd = state.range(1) == 1;
+  linalg::kernels::set_simd_enabled(simd &&
+                                    linalg::kernels::simd_available());
+  util::Rng rng(22);
+  const linalg::MatD p = random_matrix(n, n, rng);
+  linalg::VecD h(n);
+  rng.fill_uniform(h, -1.0, 1.0);
+  linalg::VecD u(n);
+  for (auto _ : state) {
+    linalg::kernels::matvec(p.data(), n, n, h.data(), u.data());
+    benchmark::DoNotOptimize(u.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n));
+  linalg::kernels::reset_simd_override();
+}
+BENCHMARK(BM_PhMatvec)
     ->ArgsProduct({{32, 64, 128, 192}, {0, 1}})
     ->ArgNames({"n", "simd"});
 

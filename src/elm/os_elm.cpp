@@ -4,7 +4,6 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
 #include "util/contract.hpp"
 
@@ -19,9 +18,9 @@ void OsElm::check_invariants_now() const {
     OSELM_DCHECK_GT(row[i], 0.0);  // SPD => strictly positive diagonal
     for (std::size_t j = i; j < n; ++j) {
       OSELM_DCHECK_FINITE(row[j]);
-      // Exact (bit-level) symmetry: the sym_rank1/rank-k kernels compute
-      // the upper triangle and mirror it, so any drift means a kernel or
-      // an out-of-band P write broke the contract.
+      // Exact (bit-level) symmetry: the sym_rank1/rank-k kernels round
+      // the same exact product into P_ij and P_ji, so any drift means a
+      // kernel or an out-of-band P write broke the contract.
       OSELM_DCHECK_EQ(row[j], p_(j, i));
     }
   }
@@ -33,7 +32,8 @@ void OsElm::check_invariants_now() const {
 OsElm::OsElm(ElmConfig config, util::Rng& rng)
     : net_(config, rng),
       h_ws_(config.hidden_units, 0.0),
-      u_ws_(config.hidden_units, 0.0) {}
+      u_ws_(config.hidden_units, 0.0),
+      w_ws_(config.hidden_units, 0.0) {}
 
 OsElm OsElm::from_parts(const ElmConfig& config, linalg::MatD alpha,
                         linalg::VecD bias, linalg::MatD beta,
@@ -164,55 +164,61 @@ void OsElm::seq_train(const linalg::MatD& x, const linalg::MatD& t) {
     seq_train_one(x.row(0), t.row(0));
     return;
   }
-  // General-k Eq. 5 on the kernel layer (dispatched dot/axpy + the
-  // upper-triangle+mirror rank-k downdate), mirroring the k = 1 fast
-  // path's structure instead of five dense GEMMs:
-  //   U  = P H^T                       (n x k, as U^T rows for locality)
-  //   S  = I + H U                     (k x k, exactly symmetric)
-  //   K  = S^-1 (symmetrized)          (the k x k solve)
-  //   G  = U K                         (gain; P_new H^T == G, the same
-  //                                     identity the scalar path uses)
-  //   P -= G U^T                       (symmetric rank-k downdate)
+  // General-k Eq. 5 on the kernel layer, in the factored form of the
+  // k = 1 path:
+  //   U  = P H^T                       (n x k, as U^T rows)
+  //   S  = I + H U = L L^T             (k x k Cholesky; throws unless SPD)
+  //   W  = U L^-T                      (so U S^-1 U^T = W W^T)
+  //   P -= sum_c w_c w_c^T             (one fma sweep per column of W)
+  //   G  = W L^-1 = U S^-1             (gain; P_new H^T == G)
   //   beta += G (t - H beta_old)
   const std::size_t k = x.rows();
   const std::size_t n = config().hidden_units;
   const std::size_t m = config().output_dim;
   const linalg::MatD h = net_.hidden(x);  // k x n
 
-  // U^T: row c holds column c of U = P H^T; P is symmetric, so row i of P
-  // doubles as column i and every entry is one contiguous kernel dot.
+  // U^T: row c holds column c of U = P h_c.
   linalg::MatD ut(k, n);
   for (std::size_t c = 0; c < k; ++c) {
-    double* ut_row = ut.row_ptr(c);
-    const double* h_row = h.row_ptr(c);
-    for (std::size_t i = 0; i < n; ++i) {
-      ut_row[i] = linalg::kernels::dot(p_.row_ptr(i), h_row, n);
-    }
+    linalg::kernels::matvec(p_.data(), n, n, h.row_ptr(c), ut.row_ptr(c));
   }
 
-  // S = I + H U, computed on the upper triangle and mirrored so the k x k
-  // solve sees an exactly symmetric matrix.
+  // S = I + H U; cholesky_decompose reads only the lower triangle.
   linalg::MatD inner(k, k);
   for (std::size_t r = 0; r < k; ++r) {
-    for (std::size_t c = r; c < k; ++c) {
+    for (std::size_t c = 0; c <= r; ++c) {
       const double v =
           linalg::kernels::dot(h.row_ptr(r), ut.row_ptr(c), n);
       inner(r, c) = r == c ? v + 1.0 : v;
-      inner(c, r) = inner(r, c);
     }
   }
-  linalg::MatD kmat = linalg::inverse(inner);
-  // The LU inverse of a symmetric matrix is only approximately symmetric;
-  // re-symmetrize so G U^T = U K U^T is symmetric by construction and the
-  // upper-triangle downdate loses nothing.
-  linalg::symmetrize_inplace(kmat);
+  const linalg::CholeskyDecomposition chol =
+      linalg::cholesky_decompose(inner);
+  if (!chol.spd) {
+    throw std::runtime_error("OsElm::seq_train: I + H P H^T is not SPD");
+  }
+  const linalg::MatD& l = chol.l;
 
-  // G^T = K U^T, accumulated row-wise with kernel axpys.
-  linalg::MatD gt(k, n, 0.0);
+  // W^T = L^-1 U^T by forward substitution over rows.
+  linalg::MatD wt = ut;
   for (std::size_t c = 0; c < k; ++c) {
-    for (std::size_t d = 0; d < k; ++d) {
-      linalg::kernels::axpy(gt.row_ptr(c), kmat(c, d), ut.row_ptr(d), n);
+    double* w_row = wt.row_ptr(c);
+    for (std::size_t d = 0; d < c; ++d) {
+      linalg::kernels::axpy(w_row, -l(c, d), wt.row_ptr(d), n);
     }
+    const double diag = l(c, c);
+    for (std::size_t i = 0; i < n; ++i) w_row[i] /= diag;
+  }
+
+  // G^T = L^-T W^T by back substitution over rows.
+  linalg::MatD gt = wt;
+  for (std::size_t c = k; c-- > 0;) {
+    double* g_row = gt.row_ptr(c);
+    for (std::size_t d = c + 1; d < k; ++d) {
+      linalg::kernels::axpy(g_row, -l(d, c), gt.row_ptr(d), n);
+    }
+    const double diag = l(c, c);
+    for (std::size_t i = 0; i < n; ++i) g_row[i] /= diag;
   }
 
   // Residuals against beta_old BEFORE any beta row is touched.
@@ -232,9 +238,9 @@ void OsElm::seq_train(const linalg::MatD& x, const linalg::MatD& t) {
     }
   }
 
-  linalg::kernels::sym_rankk_downdate(p_.data(), n, gt.data(), ut.data(), k);
+  linalg::kernels::sym_rankk_downdate(p_.data(), n, wt.data(), k);
 
-  // beta += G residual (the gain identity: P_new H^T == U K == G).
+  // beta += G residual (the gain identity: P_new H^T == U S^-1 == G).
   for (std::size_t c = 0; c < k; ++c) {
     const double* g_row = gt.row_ptr(c);
     if (m == 1) {
@@ -272,13 +278,13 @@ void OsElm::seq_train_one_forgetting(const linalg::VecD& x,
   const double inv = 1.0 / denom;
   const double p_scale = 1.0 / lambda;
 
-  // P <- (P - u u^T / denom) / lambda  — rank-1 downdate + re-inflation.
-  // P is symmetric positive-definite (Liang et al. 2006, Eq. 5), so the
-  // kernel computes only the upper triangle and mirrors it down: half the
-  // FLOPs of the seed's full-matrix sweep, and P stays exactly symmetric
-  // instead of drifting by rounding.
+  // P <- (P - u u^T / denom) / lambda  — rank-1 downdate + re-inflation,
+  // as one fma sweep over the full square with w = u * sqrt(|inv|): each
+  // P_ij and P_ji round the same exact product, so P stays exactly
+  // symmetric with no mirror pass instead of drifting by rounding.
   const std::size_t n = u.size();
-  linalg::kernels::sym_rank1_update(p_.data(), n, u.data(), inv, p_scale);
+  linalg::kernels::sym_rank1_update(p_.data(), n, u.data(), inv, p_scale,
+                                    w_ws_.data());
 
   // beta += gain * (t - h beta) with gain = P_old h^T / denom == u / denom
   // (identical to the Kalman gain; independent of the re-inflation).

@@ -105,12 +105,12 @@ class OsElm {
  private:
   /// Debug contract (compiled out in Release): sampled structural
   /// invariants of the sequential-learning state — P exactly symmetric
-  /// (the kernel layer mirrors the upper triangle, so equality is exact,
-  /// not approximate), every P entry and beta entry finite, and the P
-  /// diagonal positive (a necessary condition for the positive
-  /// definiteness Eq. 5 preserves). Runs on every init_train and then
-  /// every kInvariantSampleEvery-th sequential update — the O(N^2) scan
-  /// is too hot to run per update even in Debug.
+  /// (the kernel layer's fma sweep rounds w_i w_j and w_j w_i identically,
+  /// so equality is exact, not approximate), every P entry and beta entry
+  /// finite, and the P diagonal positive (a necessary condition for the
+  /// positive definiteness Eq. 5 preserves). Runs on every init_train and
+  /// then every kInvariantSampleEvery-th sequential update — the O(N^2)
+  /// scan is too hot to run per update even in Debug.
   void check_invariants_sampled() {
 #if OSELM_CONTRACTS_ENABLED
     if (++seq_updates_since_check_ >= kInvariantSampleEvery) {
@@ -126,6 +126,7 @@ class OsElm {
   linalg::MatD p_;   ///< N-tilde x N-tilde
   linalg::VecD h_ws_;  ///< seq_train_one hidden-row workspace (no allocs)
   linalg::VecD u_ws_;  ///< seq_train_one P h^T workspace (no allocs)
+  linalg::VecD w_ws_;  ///< seq_train_one factored update row (no allocs)
   bool initialized_ = false;
   double initial_ridge_used_ = 0.0;
   std::uint64_t seq_updates_since_check_ = 0;

@@ -1,6 +1,5 @@
 #include "linalg/kernels.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -24,11 +23,10 @@ void act_combine(const double* shared, const double* last_row, double code,
 double fused_act_dot(const double* shared, const double* last_row,
                      double code, const double* bias, const double* beta,
                      std::size_t n, Act act) noexcept;
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept;
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept;
+void matvec(const double* a, std::size_t rows, std::size_t cols,
+            const double* x, double* y) noexcept;
+void sym_update(double* p, std::size_t n, const double* w, double sigma,
+                double p_scale) noexcept;
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,
@@ -105,7 +103,22 @@ const char* active_kernel_set() noexcept {
 //
 // These loops reproduce the pre-SIMD arithmetic exactly: plain multiply
 // then add (no FMA contraction — the TU is compiled for the baseline
-// target), strictly sequential reductions.
+// target), strictly sequential reductions. The one exception is the
+// symmetric update sweep, which calls std::fma so that it matches the AVX2
+// set bit for bit.
+
+namespace {
+
+/// w = u * sqrt(|inv|); returns sigma = sign(inv) (+1 when inv == 0, where
+/// w is zero). Shared by both kernel sets so w is the same either way.
+double factor_rank1(const double* u, double inv, double* w,
+                    std::size_t n) noexcept {
+  const double root = std::sqrt(std::abs(inv));
+  for (std::size_t i = 0; i < n; ++i) w[i] = u[i] * root;
+  return inv < 0.0 ? -1.0 : 1.0;
+}
+
+}  // namespace
 
 namespace scalar {
 
@@ -160,54 +173,28 @@ double fused_act_dot(const double* shared, const double* last_row,
   return acc;
 }
 
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double scaled = u[i] * inv;
-    double* row = p + i * n;
-    if (p_scale == 1.0) {
-      if (scaled == 0.0) continue;
-      for (std::size_t j = i; j < n; ++j) row[j] -= scaled * u[j];
-    } else {
-      for (std::size_t j = i; j < n; ++j) {
-        row[j] = (row[j] - scaled * u[j]) * p_scale;
-      }
-    }
-  }
+void matvec(const double* a, std::size_t rows, std::size_t cols,
+            const double* x, double* y) noexcept {
+  for (std::size_t i = 0; i < rows; ++i) y[i] = dot(a + i * cols, x, cols);
 }
 
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept {
-  // Mirror the upper triangle down so P is exactly symmetric — replaces
-  // the seed's full-matrix second pass. Tiled so each 16x16 block of
-  // source cache lines is reused across the block's rows instead of
-  // being streamed once per element (a plain column walk thrashes L1 at
-  // N-tilde >= 128). Tile blocks are clamped to [row_begin, row_end) so
-  // disjoint bands partition the copies exactly.
-  constexpr std::size_t kTile = 16;
-  for (std::size_t t0 = (row_begin / kTile) * kTile; t0 < row_end;
-       t0 += kTile) {
-    const std::size_t i0 = std::max(t0, row_begin);
-    const std::size_t i1 = std::min({t0 + kTile, row_end, n});
-    for (std::size_t i = std::max(i0, t0 + 1); i < i1; ++i) {  // diag tile
-      double* row = p + i * n;
-      for (std::size_t j = t0; j < i; ++j) row[j] = p[j * n + i];
-    }
-    for (std::size_t j0 = 0; j0 < t0; j0 += kTile) {  // tiles left of it
-      const std::size_t j1 = j0 + kTile;  // full tile: j1 <= t0 <= n
-      for (std::size_t i = i0; i < i1; ++i) {
-        double* row = p + i * n;
-        for (std::size_t j = j0; j < j1; ++j) row[j] = p[j * n + i];
-      }
+/// The full-square sweep behind both symmetric updates:
+///   P_ij <- fma(-sigma * w_i, w_j, P_ij) * p_scale
+/// (std::fma, so this matches the AVX2 lanes bit for bit; * 1.0 is exact).
+void sym_update(double* p, std::size_t n, const double* w, double sigma,
+                double p_scale) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = -sigma * w[i];
+    double* row = p + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = std::fma(a, w[j], row[j]) * p_scale;
     }
   }
 }
 
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
-                      double p_scale) noexcept {
-  sym_rank1_update_rows(p, n, 0, n, u, inv, p_scale);
-  mirror_lower_rows(p, n, 0, n);
+                      double p_scale, double* w_ws) noexcept {
+  sym_update(p, n, w_ws, factor_rank1(u, inv, w_ws, n), p_scale);
 }
 
 // ---------------------------------------------------------------------------
@@ -335,36 +322,22 @@ double fused_act_dot(const double* shared, const double* last_row,
                         act);
 }
 
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept {
-  OSELM_DISPATCH(sym_rank1_update_rows, p, n, row_begin, row_end, u, inv,
-                 p_scale);
-}
-
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept {
-  OSELM_DISPATCH(mirror_lower_rows, p, n, row_begin, row_end);
+void matvec(const double* a, std::size_t rows, std::size_t cols,
+            const double* x, double* y) noexcept {
+  OSELM_DISPATCH(matvec, a, rows, cols, x, y);
 }
 
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
-                      double p_scale) noexcept {
-  sym_rank1_update_rows(p, n, 0, n, u, inv, p_scale);
-  mirror_lower_rows(p, n, 0, n);
+                      double p_scale, double* w_ws) noexcept {
+  const double sigma = factor_rank1(u, inv, w_ws, n);
+  OSELM_DISPATCH(sym_update, p, n, w_ws, sigma, p_scale);
 }
 
-void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
-                        const double* ut, std::size_t k) noexcept {
-  // k dispatched-axpy sweeps per upper-triangle row (FMA lanes under
-  // SIMD), then one mirror — G U^T is symmetric (G = U K, K = K^T), so
-  // the lower triangle is a copy, not a recomputation.
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = p + i * n;
-    for (std::size_t c = 0; c < k; ++c) {
-      axpy(row + i, -gt[c * n + i], ut + c * n + i, n - i);
-    }
+void sym_rankk_downdate(double* p, std::size_t n, const double* wt,
+                        std::size_t k) noexcept {
+  for (std::size_t c = 0; c < k; ++c) {
+    OSELM_DISPATCH(sym_update, p, n, wt + c * n, 1.0, 1.0);
   }
-  mirror_lower_rows(p, n, 0, n);
 }
 
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,

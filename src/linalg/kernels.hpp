@@ -15,11 +15,13 @@
 // Numerical contract:
 //   * double kernels: the AVX2 path fuses multiply-adds (FMA) and
 //     vector-reduces dot products, so results may differ from the scalar
-//     reference at the last few ulps (tests pin <= 1e-12 relative).
-//     Within ONE dispatch mode the kernels are mutually bit-consistent:
-//     `fused_act_dot` reproduces `act_combine` + `dot` exactly, and the
-//     backend prediction paths built on them stay bit-identical to each
-//     other (the backend-contract EXPECT_DOUBLE_EQ pins rely on this).
+//     reference at the last few ulps (tests pin <= 1e-12 relative). The
+//     symmetric P updates are the exception: both sets use std::fma, so
+//     they are bit-identical across modes. Within ONE dispatch mode the
+//     kernels are mutually bit-consistent: `fused_act_dot` reproduces
+//     `act_combine` + `dot` exactly, and the backend prediction paths
+//     built on them stay bit-identical to each other (the
+//     backend-contract EXPECT_DOUBLE_EQ pins rely on this).
 //   * q20_* kernels: bit-exact against the scalar reference in BOTH
 //     modes, including the saturation counters (fixed::Q20 semantics:
 //     round-to-nearest multiply, per-step saturating accumulate). The AVX2
@@ -99,40 +101,34 @@ void act_combine(const double* shared, const double* last_row, double code,
                                    const double* bias, const double* beta,
                                    std::size_t n, Act act) noexcept;
 
+/// y = A x for a row-major `rows x cols` matrix A. The scalar set is one
+/// sequential dot per row; the AVX2 set runs four rows per pass (two FMA
+/// accumulators each) and reduces the four rows' sums together.
+void matvec(const double* a, std::size_t rows, std::size_t cols,
+            const double* x, double* y) noexcept;
+
 /// Symmetric rank-1 update of a row-major n x n matrix:
-///   P <- (P - (u * inv) u^T) * p_scale
-/// Only the upper triangle is computed; the lower triangle is mirrored
-/// from it afterwards, so P is exactly symmetric on return. p_scale == 1
-/// takes the cheaper no-reinflation path (FOS-ELM lambda == 1). Runs
-/// on the calling thread: sym_rank1_update_rows then mirror_lower_rows,
-/// each over all n rows.
+///   P <- (P - inv * u u^T) * p_scale
+/// in factored form: w = u * sqrt(|inv|) (into the caller-owned scratch
+/// `w_ws`, length n, so the kernel allocates nothing), sigma = sign(inv),
+/// then every element of the full square, row by row:
+///   P_ij <- fma(-sigma * w_i, w_j, P_ij) * p_scale.
+/// fma rounds the exact product sigma * w_i * w_j once, the same either way
+/// round, so a symmetric P stays exactly symmetric with no mirror pass; the
+/// sign covers inv <= 0 without a separate path. Both kernel sets use the
+/// same fma, so scalar and AVX2 results are bit-identical.
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
-                      double p_scale) noexcept;
+                      double p_scale, double* w_ws) noexcept;
 
-/// Update phase of sym_rank1_update restricted to rows
-/// [row_begin, row_end): row i gets row[j] = (row[j] - (u[i]*inv)*u[j])
-/// * p_scale for j >= i. Rows never read each other, so any partition of
-/// [0, n) reproduces the full kernel's upper triangle bit-for-bit.
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept;
-
-/// Mirror phase: copies the (final) upper triangle into rows
-/// [row_begin, row_end) of the lower triangle (row[j] = p[j*n+i], j < i).
-/// Pure copies — bit-identical for any partition; the upper triangle must
-/// not change concurrently.
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept;
-
-/// Symmetric rank-k downdate for the general-k OS-ELM chunk update
-/// (Eq. 5): P -= G U^T where G = U K with K = K^T, so G U^T is
-/// symmetric. `gt` and `ut` are G^T and U^T as k x n row-major blocks
-/// (row c is column c of G / U, contiguous for the axpy sweeps). Only the
-/// upper triangle is computed (k dispatched-axpy sweeps per row — FMA
-/// under SIMD) and mirrored down, so P stays exactly symmetric; k == 1
-/// matches sym_rank1_update's p_scale == 1 arithmetic.
-void sym_rankk_downdate(double* p, std::size_t n, const double* gt,
-                        const double* ut, std::size_t k) noexcept;
+/// Symmetric rank-k downdate in factored form (the general-k OS-ELM
+/// update, Eq. 5, with I + H P H^T = L L^T and W = P H^T L^-T):
+///   P <- P - sum_c w_c w_c^T
+/// `wt` is W^T as a k x n row-major block (row c = w_c). Runs the
+/// sym_rank1_update sweep once per row of `wt`, c = 0..k-1, so the k
+/// products are summed in a fixed order and k == 1 with w = u * sqrt(inv)
+/// is bit-identical to sym_rank1_update(p, n, u, inv, 1.0, ws).
+void sym_rankk_downdate(double* p, std::size_t n, const double* wt,
+                        std::size_t k) noexcept;
 
 // ---------------------------------------------------------------------------
 // Q20 fixed-point kernels (raw int32 words, fixed::Q20 semantics)
@@ -218,13 +214,10 @@ void act_combine(const double* shared, const double* last_row, double code,
                                    const double* last_row, double code,
                                    const double* bias, const double* beta,
                                    std::size_t n, Act act) noexcept;
+void matvec(const double* a, std::size_t rows, std::size_t cols,
+            const double* x, double* y) noexcept;
 void sym_rank1_update(double* p, std::size_t n, const double* u, double inv,
-                      double p_scale) noexcept;
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept;
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept;
+                      double p_scale, double* w_ws) noexcept;
 void q20_hidden_mac(const std::int32_t* a, std::size_t rows,
                     std::size_t units, const std::int32_t* x,
                     const std::int32_t* init, std::int32_t* out, bool relu,

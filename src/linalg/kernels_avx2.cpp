@@ -8,7 +8,9 @@
 // The only order-sensitive operation is the dot-product reduction; dot()
 // and fused_act_dot() share one reduction structure (two 4-wide
 // accumulators over 8-element blocks, a fixed horizontal sum, then a
-// sequential fma tail) so they stay bit-identical to each other.
+// sequential fma tail) so they stay bit-identical to each other. matvec()
+// has its own (four rows reduced together), so its rows are not dot()'s
+// bits. sym_update() has no reduction at all and equals the scalar set.
 //
 // Q20 kernels: one exactness idiom — prove cheaply that no saturation can
 // occur, then run a wrap-free path on 8 int32 words per vector; whenever
@@ -77,6 +79,42 @@ inline double act_scalar(Act act, double x) noexcept {
       return x;
   }
   return x;
+}
+
+/// The symmetric-update sweep: P_ij <- fma(-sigma * w_i, w_j, P_ij), then
+/// * p_scale when kScale (the * 1.0 it skips is exact, so both
+/// instantiations equal the scalar set's fma-then-scale bit for bit).
+template <bool kScale>
+void sym_update_sweep(double* p, std::size_t n, const double* w,
+                      double sigma, double p_scale) noexcept {
+  const __m256d ps = _mm256_set1_pd(p_scale);
+  const auto scale = [ps](__m256d v) noexcept {
+    return kScale ? _mm256_mul_pd(v, ps) : v;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = -sigma * w[i];
+    const __m256d av = _mm256_set1_pd(a);
+    double* row = p + i * n;
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      const __m256d t0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(w + j),
+                                         _mm256_loadu_pd(row + j));
+      const __m256d t1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(w + j + 4),
+                                         _mm256_loadu_pd(row + j + 4));
+      _mm256_storeu_pd(row + j, scale(t0));
+      _mm256_storeu_pd(row + j + 4, scale(t1));
+    }
+    if (j + 4 <= n) {
+      const __m256d t = _mm256_fmadd_pd(av, _mm256_loadu_pd(w + j),
+                                        _mm256_loadu_pd(row + j));
+      _mm256_storeu_pd(row + j, scale(t));
+      j += 4;
+    }
+    for (; j < n; ++j) {
+      const double t = std::fma(a, w[j], row[j]);
+      row[j] = kScale ? t * p_scale : t;
+    }
+  }
 }
 
 // -- Q20 helpers ------------------------------------------------------------
@@ -439,91 +477,65 @@ double fused_act_dot(const double* shared, const double* last_row,
   return sum;
 }
 
-void sym_rank1_update_rows(double* p, std::size_t n, std::size_t row_begin,
-                           std::size_t row_end, const double* u, double inv,
-                           double p_scale) noexcept {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    const double scaled = u[i] * inv;
-    double* row = p + i * n;
-    std::size_t j = i;
-    if (p_scale == 1.0) {
-      if (scaled == 0.0) continue;
-      const __m256d sv = _mm256_set1_pd(scaled);
-      for (; j + 4 <= n; j += 4) {
-        _mm256_storeu_pd(
-            row + j, _mm256_fnmadd_pd(sv, _mm256_loadu_pd(u + j),
-                                      _mm256_loadu_pd(row + j)));
-      }
-      for (; j < n; ++j) row[j] = std::fma(-scaled, u[j], row[j]);
-    } else {
-      const __m256d sv = _mm256_set1_pd(scaled);
-      const __m256d ps = _mm256_set1_pd(p_scale);
-      for (; j + 4 <= n; j += 4) {
-        const __m256d t = _mm256_fnmadd_pd(sv, _mm256_loadu_pd(u + j),
-                                           _mm256_loadu_pd(row + j));
-        _mm256_storeu_pd(row + j, _mm256_mul_pd(t, ps));
-      }
-      for (; j < n; ++j) {
-        row[j] = std::fma(-scaled, u[j], row[j]) * p_scale;
-      }
+void matvec(const double* a, std::size_t rows, std::size_t cols,
+            const double* x, double* y) noexcept {
+  std::size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const double* r0 = a + i * cols;
+    const double* r1 = r0 + cols;
+    const double* r2 = r1 + cols;
+    const double* r3 = r2 + cols;
+    // Two accumulators per row: eight independent FMA chains.
+    __m256d s0 = _mm256_setzero_pd(), t0 = _mm256_setzero_pd();
+    __m256d s1 = _mm256_setzero_pd(), t1 = _mm256_setzero_pd();
+    __m256d s2 = _mm256_setzero_pd(), t2 = _mm256_setzero_pd();
+    __m256d s3 = _mm256_setzero_pd(), t3 = _mm256_setzero_pd();
+    std::size_t j = 0;
+    for (; j + 8 <= cols; j += 8) {
+      const __m256d x0 = _mm256_loadu_pd(x + j);
+      const __m256d x1 = _mm256_loadu_pd(x + j + 4);
+      s0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + j), x0, s0);
+      t0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + j + 4), x1, t0);
+      s1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + j), x0, s1);
+      t1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + j + 4), x1, t1);
+      s2 = _mm256_fmadd_pd(_mm256_loadu_pd(r2 + j), x0, s2);
+      t2 = _mm256_fmadd_pd(_mm256_loadu_pd(r2 + j + 4), x1, t2);
+      s3 = _mm256_fmadd_pd(_mm256_loadu_pd(r3 + j), x0, s3);
+      t3 = _mm256_fmadd_pd(_mm256_loadu_pd(r3 + j + 4), x1, t3);
+    }
+    if (j + 4 <= cols) {
+      const __m256d x0 = _mm256_loadu_pd(x + j);
+      s0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + j), x0, s0);
+      s1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + j), x0, s1);
+      s2 = _mm256_fmadd_pd(_mm256_loadu_pd(r2 + j), x0, s2);
+      s3 = _mm256_fmadd_pd(_mm256_loadu_pd(r3 + j), x0, s3);
+      j += 4;
+    }
+    // One reduction for all four rows: hadd pairs lanes within each
+    // 128-bit half, the cross-half add finishes, and lane r is row i + r.
+    const __m256d h01 =
+        _mm256_hadd_pd(_mm256_add_pd(s0, t0), _mm256_add_pd(s1, t1));
+    const __m256d h23 =
+        _mm256_hadd_pd(_mm256_add_pd(s2, t2), _mm256_add_pd(s3, t3));
+    _mm256_storeu_pd(y + i,
+                     _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                                   _mm256_permute2f128_pd(h01, h23, 0x31)));
+    for (; j < cols; ++j) {
+      y[i] = std::fma(r0[j], x[j], y[i]);
+      y[i + 1] = std::fma(r1[j], x[j], y[i + 1]);
+      y[i + 2] = std::fma(r2[j], x[j], y[i + 2]);
+      y[i + 3] = std::fma(r3[j], x[j], y[i + 3]);
     }
   }
+  for (; i < rows; ++i) y[i] = dot(a + i * cols, x, cols);
 }
 
-void mirror_lower_rows(double* p, std::size_t n, std::size_t row_begin,
-                       std::size_t row_end) noexcept {
-  // Mirror the upper triangle down. Off-diagonal 16x16 tiles decompose
-  // into 4x4 in-register transposes (unpack + 128-bit permute), turning
-  // the column walk into contiguous loads and stores; diagonal, remainder,
-  // and band-clipped tiles fall back to the scalar walk (pure copies, so
-  // every path is bit-identical and any banding partitions the work).
-  constexpr std::size_t kTile = 16;
-  const auto transpose4x4 = [p, n](std::size_t src_row,
-                                   std::size_t dst_row) noexcept {
-    // dst rows dst_row..+3 cols src_row..+3 receive the transpose of
-    // src rows src_row..+3 cols dst_row..+3.
-    const __m256d r0 = _mm256_loadu_pd(p + (src_row + 0) * n + dst_row);
-    const __m256d r1 = _mm256_loadu_pd(p + (src_row + 1) * n + dst_row);
-    const __m256d r2 = _mm256_loadu_pd(p + (src_row + 2) * n + dst_row);
-    const __m256d r3 = _mm256_loadu_pd(p + (src_row + 3) * n + dst_row);
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    _mm256_storeu_pd(p + (dst_row + 0) * n + src_row,
-                     _mm256_permute2f128_pd(t0, t2, 0x20));
-    _mm256_storeu_pd(p + (dst_row + 1) * n + src_row,
-                     _mm256_permute2f128_pd(t1, t3, 0x20));
-    _mm256_storeu_pd(p + (dst_row + 2) * n + src_row,
-                     _mm256_permute2f128_pd(t0, t2, 0x31));
-    _mm256_storeu_pd(p + (dst_row + 3) * n + src_row,
-                     _mm256_permute2f128_pd(t1, t3, 0x31));
-  };
-  for (std::size_t t0 = (row_begin / kTile) * kTile; t0 < row_end;
-       t0 += kTile) {
-    const std::size_t i0 = std::max(t0, row_begin);
-    const std::size_t i1 = std::min({t0 + kTile, row_end, n});
-    for (std::size_t i = std::max(i0, t0 + 1); i < i1; ++i) {  // diag tile
-      double* row = p + i * n;
-      for (std::size_t j = t0; j < i; ++j) row[j] = p[j * n + i];
-    }
-    const bool full_rows = i0 == t0 && i1 == t0 + kTile;
-    for (std::size_t j0 = 0; j0 < t0; j0 += kTile) {  // tiles left of it
-      if (full_rows) {
-        for (std::size_t jj = j0; jj < j0 + kTile; jj += 4) {
-          for (std::size_t ii = t0; ii < t0 + kTile; ii += 4) {
-            transpose4x4(jj, ii);
-          }
-        }
-      } else {
-        for (std::size_t i = i0; i < i1; ++i) {
-          double* row = p + i * n;
-          for (std::size_t j = j0; j < j0 + kTile; ++j) {
-            row[j] = p[j * n + i];
-          }
-        }
-      }
-    }
+void sym_update(double* p, std::size_t n, const double* w, double sigma,
+                double p_scale) noexcept {
+  if (p_scale == 1.0) {
+    sym_update_sweep<false>(p, n, w, sigma, p_scale);
+  } else {
+    sym_update_sweep<true>(p, n, w, sigma, p_scale);
   }
 }
 

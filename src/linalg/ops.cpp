@@ -87,10 +87,8 @@ VecD matvec(const MatD& a, const VecD& x) {
 
 void matvec_into(const MatD& a, const VecD& x, VecD& y) {
   require(a.cols() == x.size(), "matvec: dimension mismatch");
-  y.assign(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    y[i] = kernels::dot(a.row_ptr(i), x.data(), a.cols());
-  }
+  y.resize(a.rows());
+  kernels::matvec(a.data(), a.rows(), a.cols(), x.data(), y.data());
 }
 
 VecD matvec_t(const MatD& a, const VecD& x) {

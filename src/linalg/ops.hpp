@@ -22,7 +22,8 @@ MatD matmul_a_bt(const MatD& a, const MatD& b);
 VecD matvec(const MatD& a, const VecD& x);
 
 /// y = A * x into a caller-owned vector (resized to a.rows(), reusing its
-/// capacity — allocation-free in steady state). `y` must not alias `x`.
+/// capacity — allocation-free in steady state) through the dispatched
+/// kernels::matvec. `y` must not alias `x`.
 void matvec_into(const MatD& a, const VecD& x, VecD& y);
 
 /// y = A^T * x.

@@ -137,13 +137,21 @@ MetricsRegistry::SourceHandle MetricsRegistry::add_source(Source source) {
 void MetricsRegistry::SourceRemover::operator()(
     MetricsRegistry* registry) const noexcept {
   const std::lock_guard<std::mutex> lock(registry->mutex_);
+  if (registry->sampling_) {
+    // The source's last counts, for a run shorter than the sampler period.
+    registry->departed_.push_back(registry->snapshot_locked());
+  }
   registry->sources_.erase(id);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return snapshot_locked();
+}
+
+MetricsSnapshot MetricsRegistry::snapshot_locked() const {
   MetricsSnapshot snap;
   snap.captured_at_us = wall_clock_us();
-  const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<CounterSample> counters;
   for (const auto& [name, counter] : counters_) {
     counters.push_back({name, {}, counter->value()});
@@ -253,6 +261,11 @@ bool MetricsRegistry::start_sampler(const std::string& path,
     const std::lock_guard<std::mutex> loop_lock(loop_mutex_);
     sampler_stop_ = false;
   }
+  {
+    const std::lock_guard<std::mutex> registry_lock(mutex_);
+    sampling_ = true;
+    departed_.clear();
+  }
   set_timing_enabled(true);
   sampler_pool_ = std::make_unique<util::ThreadPool>(1);
   const std::uint64_t period = period_ms > 0 ? period_ms : 1;
@@ -262,21 +275,28 @@ bool MetricsRegistry::start_sampler(const std::string& path,
 
 void MetricsRegistry::sampler_loop(std::uint64_t period_ms) {
   std::ofstream file(sampler_path_, std::ios::app);
+  bool last = false;
   while (true) {
+    // Snapshots taken as sources left come first, in removal order, then
+    // this period's. The last pass (a final snapshot, so short runs always
+    // leave at least two points) also ends departure recording.
+    std::vector<MetricsSnapshot> lines;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      lines.swap(departed_);
+      lines.push_back(snapshot_locked());
+      if (last) sampling_ = false;
+    }
     if (file) {
-      file << jsonl_line(snapshot()) << '\n';
+      for (const MetricsSnapshot& snap : lines) {
+        file << jsonl_line(snap) << '\n';
+      }
       file.flush();
     }
+    if (last) break;
     std::unique_lock<std::mutex> lock(loop_mutex_);
-    if (loop_cv_.wait_for(lock, std::chrono::milliseconds(period_ms),
-                          [this] { return sampler_stop_; })) {
-      break;
-    }
-  }
-  // Final snapshot so short runs always leave at least two points.
-  if (file) {
-    file << jsonl_line(snapshot()) << '\n';
-    file.flush();
+    last = loop_cv_.wait_for(lock, std::chrono::milliseconds(period_ms),
+                             [this] { return sampler_stop_; });
   }
 }
 

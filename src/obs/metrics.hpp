@@ -13,7 +13,8 @@
 // Objects that keep their own counters (the serving tiers) do not copy
 // them into the registry: add_source() registers a callback that appends
 // the object's labeled series at snapshot time, and the returned handle
-// takes the series out of later snapshots when the object goes away.
+// takes the series out of later snapshots when the object goes away (a
+// running sampler still writes one last line that includes them).
 // CounterSet and CounterField give such an object one table per stats
 // struct, which its stats(), merge(), to_json() and export all iterate.
 //
@@ -209,7 +210,10 @@ class MetricsRegistry {
   /// the registry's lock, so it must not call back into the registry.
   using Source = std::function<void(std::vector<CounterSample>&)>;
 
-  /// Removes one registered source (see SourceHandle).
+  /// Removes one registered source (see SourceHandle). While a sampler
+  /// runs, it first takes a snapshot that still includes the source; the
+  /// sampler writes it as an extra line, so a source that lives shorter
+  /// than the sampler period still leaves its final counts in the file.
   struct SourceRemover {
     std::uint64_t id = 0;
     void operator()(MetricsRegistry* registry) const noexcept;
@@ -263,7 +267,8 @@ class MetricsRegistry {
   [[nodiscard]] static std::string jsonl_line(const MetricsSnapshot& snapshot);
 
   /// Starts a background sampler appending jsonl_line(snapshot()) to
-  /// `path` every `period_ms` (>= 1). Idempotent stop via
+  /// `path` every `period_ms` (>= 1), plus one line per source removed
+  /// while it runs (see SourceRemover). Idempotent stop via
   /// stop_sampler(), which writes one final snapshot. While any sampler
   /// runs, timing_enabled() is true.
   bool start_sampler(const std::string& path, std::uint64_t period_ms);
@@ -271,6 +276,7 @@ class MetricsRegistry {
 
  private:
   void sampler_loop(std::uint64_t period_ms);
+  [[nodiscard]] MetricsSnapshot snapshot_locked() const;  // mutex_ held
 
   // Lock order: sampler_mutex_ > loop_mutex_; mutex_ (the name maps and
   // sources) is held while sources run, so it ranks above any lock a
@@ -282,6 +288,8 @@ class MetricsRegistry {
   std::uint64_t next_source_id_ = 0;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  bool sampling_ = false;  ///< a sampler will still write departed_
+  std::vector<MetricsSnapshot> departed_;  ///< taken as sources left
 
   std::mutex sampler_mutex_;  // start/stop lifecycle (never held in loop)
   std::unique_ptr<util::ThreadPool> sampler_pool_;

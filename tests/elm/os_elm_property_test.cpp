@@ -1,12 +1,12 @@
 // Property pins for the symmetric rank-1 P-update rewrite.
 //
-//   * Structure: seq_train_one now computes only P's upper triangle and
-//     mirrors it (kernels::sym_rank1_update), so P must stay EXACTLY
-//     symmetric — and, as the inverse of a growing SPD Gram matrix,
-//     positive-definite — across long random update streams. The seed's
-//     full-matrix sweep let rounding drift P(i,j) away from P(j,i); the
-//     mirror makes that class of drift impossible, which this suite
-//     guards against regressions.
+//   * Structure: seq_train_one updates P as one fma sweep over the full
+//     square in factored form (kernels::sym_rank1_update), which rounds
+//     P(i,j) and P(j,i) from the same exact product, so P must stay
+//     EXACTLY symmetric — and, as the inverse of a growing SPD Gram
+//     matrix, positive-definite — across long random update streams. The
+//     seed's unfactored full-matrix sweep let rounding drift P(i,j) away
+//     from P(j,i); this suite guards against that class of drift.
 //   * Dispatch: the SIMD and scalar kernel sets may round differently at
 //     the last ulps, but a whole closed-loop gridworld training run must
 //     stay pinned within 1e-8 between OSELM_SIMD settings.

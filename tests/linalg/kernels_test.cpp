@@ -6,7 +6,9 @@
 //     and vector-reduces dot products, so the last ulps may differ);
 //     fused_act_dot must additionally reproduce act_combine + dot
 //     BIT-exactly under whichever mode is active — that identity is what
-//     keeps the backend's predict paths mutually bit-identical.
+//     keeps the backend's predict paths mutually bit-identical. The
+//     symmetric P updates are bit-identical across modes and exactly
+//     symmetric; matvec is pinned against a long double reference.
 //   * q20 kernels: bit-exact in values AND saturation counters, including
 //     inputs engineered to saturate (the FPGA fidelity contract).
 #include "linalg/kernels.hpp"
@@ -216,14 +218,16 @@ TEST(KernelSymRank1, MatchesScalarReferenceAndStaysSymmetric) {
         }
       }
       const std::vector<double> u = random_vec(n, rng);
+      std::vector<double> w(n);
       std::vector<double> p_simd = p;
       std::vector<double> p_ref = p;
-      sym_rank1_update(p_simd.data(), n, u.data(), 0.31, p_scale);
-      scalar::sym_rank1_update(p_ref.data(), n, u.data(), 0.31, p_scale);
+      sym_rank1_update(p_simd.data(), n, u.data(), 0.31, p_scale, w.data());
+      scalar::sym_rank1_update(p_ref.data(), n, u.data(), 0.31, p_scale,
+                               w.data());
       for (std::size_t i = 0; i < n * n; ++i) {
         expect_close(p_simd[i], p_ref[i], "sym_rank1_update", n);
       }
-      // Mirroring makes symmetry exact, not just approximate.
+      // The factored sweep makes symmetry exact, not just approximate.
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
           EXPECT_EQ(p_simd[i * n + j], p_simd[j * n + i]);
@@ -247,67 +251,62 @@ std::vector<double> random_spd(std::size_t n, util::Rng& rng) {
   return p;
 }
 
-/// The definitionally single-threaded composition the banded kernels must
-/// reproduce under any partition.
-std::vector<double> serial_rank1(std::vector<double> p, std::size_t n,
-                                 const std::vector<double>& u, double inv,
-                                 double p_scale) {
-  sym_rank1_update_rows(p.data(), n, 0, n, u.data(), inv, p_scale);
-  mirror_lower_rows(p.data(), n, 0, n);
-  return p;
-}
+const std::size_t kUpdateSizes[] = {1, 3, 5, 32, 64, 67, 128};
 
-TEST(KernelSymRank1, ArbitraryRowBandPartitionsAreBitIdentical) {
-  // The parallel P-update shards disjoint row bands; each row's arithmetic
-  // never reads another row, so ANY partition — including bands that cut
-  // through the 16-wide mirror tiles — must reproduce the full kernel
-  // bit-for-bit, in both dispatch modes.
-  util::Rng rng(11);
-  const struct RestoreDispatch {
-    ~RestoreDispatch() { reset_simd_override(); }
-  } restore;
-  for (const bool simd : {false, true}) {
-    if (simd && !simd_available()) continue;
-    set_simd_enabled(simd);
-    for (const std::size_t n : {33u, 100u, 130u}) {
-      for (const double p_scale : {1.0, 1.0 / 0.97}) {
-        const std::vector<double> p0 = random_spd(n, rng);
-        const std::vector<double> u = random_vec(n, rng);
-        const std::vector<double> reference =
-            serial_rank1(p0, n, u, 0.27, p_scale);
-        for (const std::size_t cut :
-             {std::size_t{1}, std::size_t{16}, std::size_t{17}, n / 2,
-              n - 1}) {
-          std::vector<double> banded = p0;
-          sym_rank1_update_rows(banded.data(), n, 0, cut, u.data(), 0.27,
-                                p_scale);
-          sym_rank1_update_rows(banded.data(), n, cut, n, u.data(), 0.27,
-                                p_scale);
-          mirror_lower_rows(banded.data(), n, cut, n);  // order-free copies
-          mirror_lower_rows(banded.data(), n, 0, cut);
-          for (std::size_t i = 0; i < n * n; ++i) {
-            ASSERT_EQ(banded[i], reference[i])
-                << "simd=" << simd << " n=" << n << " cut=" << cut;
-          }
-        }
-      }
-    }
+/// The k-th update's inv in a long random stream: every fourth is
+/// negative (an indefinite downdate, i.e. an update) and every fourth is
+/// exactly zero, the two cases the sign of inv covers without a branch.
+double stream_inv(std::size_t k, util::Rng& rng) {
+  switch (k % 4) {
+    case 1:
+      return -rng.uniform(0.01, 0.2);
+    case 3:
+      return 0.0;
+    default:
+      return rng.uniform(0.01, 0.2);
   }
 }
 
-TEST(KernelSymRank1, DispatcherAtParallelSizeMatchesSerialBitForBit) {
-  // The public entry point at n = 512, the size that once took a sharded
-  // path, must equal the serial rows + mirror composition exactly.
-  util::Rng rng(13);
-  const std::size_t n = 512;
-  const std::vector<double> p0 = random_spd(n, rng);
-  const std::vector<double> u = random_vec(n, rng);
-  for (const double p_scale : {1.0, 1.0 / 0.97}) {
-    const std::vector<double> reference =
-        serial_rank1(p0, n, u, 0.19, p_scale);
-    std::vector<double> dispatched = p0;
-    sym_rank1_update(dispatched.data(), n, u.data(), 0.19, p_scale);
-    ASSERT_EQ(dispatched, reference) << "p_scale=" << p_scale;
+/// Runs `updates` random rank-1 updates from the same seed under the given
+/// dispatch mode, checking exact symmetry every 100 updates and at the end.
+std::vector<double> run_update_stream(std::size_t n, bool simd,
+                                      std::size_t updates) {
+  set_simd_enabled(simd);
+  util::Rng rng(23 + n);
+  std::vector<double> p = random_spd(n, rng);
+  std::vector<double> w(n);
+  for (std::size_t k = 0; k < updates; ++k) {
+    const std::vector<double> u = random_vec(n, rng, -0.5, 0.5);
+    const double inv = stream_inv(k, rng);
+    const double p_scale = k % 2 == 0 ? 1.0 : 1.0 / 0.999;
+    sym_rank1_update(p.data(), n, u.data(), inv, p_scale, w.data());
+    if ((k + 1) % 100 != 0 && k + 1 != updates) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        EXPECT_EQ(p[i * n + j], p[j * n + i])
+            << "simd=" << simd << " n=" << n << " after update " << k;
+      }
+    }
+  }
+  for (const double v : p) EXPECT_TRUE(std::isfinite(v)) << "n=" << n;
+  reset_simd_override();
+  return p;
+}
+
+TEST(KernelSymRank1, StaysExactlySymmetricOverAThousandUpdates) {
+  for (const bool simd : {false, true}) {
+    if (simd && !simd_available()) continue;
+    for (const std::size_t n : kUpdateSizes) run_update_stream(n, simd, 1000);
+  }
+}
+
+TEST(KernelSymRank1, ScalarAndSimdAreBitIdentical) {
+  // Both sets round fma(-sigma * w_i, w_j, P_ij) and then scale, element
+  // by element, so the same stream gives the same bits in either mode.
+  if (!simd_available()) GTEST_SKIP() << "no SIMD kernel set";
+  for (const std::size_t n : kUpdateSizes) {
+    ASSERT_EQ(run_update_stream(n, false, 200), run_update_stream(n, true, 200))
+        << "n=" << n;
   }
 }
 
@@ -329,7 +328,8 @@ TEST(KernelThreads, LinalgStartsNoThreads) {
   const std::size_t n = 1024;
   std::vector<double> p = random_vec(n * n, rng);
   const std::vector<double> u = random_vec(n, rng);
-  sym_rank1_update(p.data(), n, u.data(), 0.19, 1.0);
+  std::vector<double> w(n);
+  sym_rank1_update(p.data(), n, u.data(), 0.19, 1.0, w.data());
 
   MatD a(256, 256);
   a.fill(0.5);
@@ -350,36 +350,21 @@ TEST(KernelSymRankK, MatchesDenseDowndateAndStaysSymmetric) {
     for (const std::size_t n : {9u, 31u, 64u}) {
       for (const std::size_t k : {2u, 3u, 5u}) {
         const std::vector<double> p0 = random_spd(n, rng);
-        // U (as k x n transposed rows) and a symmetric K give the Eq. 5
-        // shape: G = U K, downdate = G U^T symmetric.
-        const std::vector<double> ut = random_vec(k * n, rng);
-        std::vector<double> kmat = random_vec(k * k, rng, -0.3, 0.3);
-        for (std::size_t r = 0; r < k; ++r) {
-          for (std::size_t c = r + 1; c < k; ++c) {
-            kmat[c * k + r] = kmat[r * k + c];
-          }
-        }
-        std::vector<double> gt(k * n, 0.0);
-        for (std::size_t c = 0; c < k; ++c) {
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t d = 0; d < k; ++d) {
-              gt[c * n + i] += kmat[c * k + d] * ut[d * n + i];
-            }
-          }
-        }
+        // W^T as k x n rows: the Eq. 5 downdate is W W^T, symmetric.
+        const std::vector<double> wt = random_vec(k * n, rng);
         std::vector<double> p = p0;
-        sym_rankk_downdate(p.data(), n, gt.data(), ut.data(), k);
+        sym_rankk_downdate(p.data(), n, wt.data(), k);
         // Dense reference on the upper triangle.
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t j = i; j < n; ++j) {
             double expected = p0[i * n + j];
             for (std::size_t c = 0; c < k; ++c) {
-              expected -= gt[c * n + i] * ut[c * n + j];
+              expected -= wt[c * n + i] * wt[c * n + j];
             }
             expect_close(p[i * n + j], expected, "sym_rankk_downdate", n);
           }
         }
-        // Exact symmetry via the mirror.
+        // Exact symmetry without a mirror.
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t j = 0; j < n; ++j) {
             EXPECT_EQ(p[i * n + j], p[j * n + i]);
@@ -391,20 +376,70 @@ TEST(KernelSymRankK, MatchesDenseDowndateAndStaysSymmetric) {
 }
 
 TEST(KernelSymRankK, KEqualsOneMatchesTheRank1Kernel) {
-  // gt = u * inv reproduces sym_rank1_update's p_scale == 1 arithmetic
-  // exactly (axpy with a negated multiplier is the same FMA).
+  // w = u * sqrt(inv) is the factor sym_rank1_update forms for inv > 0,
+  // so one rank-k column reproduces the rank-1 update bit for bit, in
+  // both dispatch modes.
   util::Rng rng(15);
+  const struct RestoreDispatch {
+    ~RestoreDispatch() { reset_simd_override(); }
+  } restore;
   const std::size_t n = 100;
   const std::vector<double> p0 = random_spd(n, rng);
   const std::vector<double> u = random_vec(n, rng);
   const double inv = 0.37;
-  std::vector<double> gt(n);
-  for (std::size_t i = 0; i < n; ++i) gt[i] = u[i] * inv;
-  std::vector<double> via_rankk = p0;
-  sym_rankk_downdate(via_rankk.data(), n, gt.data(), u.data(), 1);
-  std::vector<double> via_rank1 = p0;
-  sym_rank1_update(via_rank1.data(), n, u.data(), inv, 1.0);
-  ASSERT_EQ(via_rankk, via_rank1);
+  std::vector<double> wt(n);
+  for (std::size_t i = 0; i < n; ++i) wt[i] = u[i] * std::sqrt(inv);
+  for (const bool simd : {false, true}) {
+    if (simd && !simd_available()) continue;
+    set_simd_enabled(simd);
+    std::vector<double> via_rankk = p0;
+    sym_rankk_downdate(via_rankk.data(), n, wt.data(), 1);
+    std::vector<double> via_rank1 = p0;
+    std::vector<double> w(n);
+    sym_rank1_update(via_rank1.data(), n, u.data(), inv, 1.0, w.data());
+    ASSERT_EQ(via_rankk, via_rank1) << "simd=" << simd;
+  }
+}
+
+TEST(KernelMatvec, MatchesLongDoubleReference) {
+  // The blocked AVX2 matvec (four rows per pass, one reduction per four
+  // rows) and the scalar per-row dot, against an extended-precision
+  // reference within the standard dot-product error bound
+  // cols * eps * sum_j |a_ij x_j|, over row and column remainders and
+  // unaligned spans.
+  util::Rng rng(16);
+  const struct RestoreDispatch {
+    ~RestoreDispatch() { reset_simd_override(); }
+  } restore;
+  const std::size_t kDims[] = {1, 3, 4, 5, 7, 8, 9, 31, 64, 67, 100};
+  for (const bool simd : {false, true}) {
+    if (simd && !simd_available()) continue;
+    set_simd_enabled(simd);
+    for (const std::size_t rows : kDims) {
+      for (const std::size_t cols : kDims) {
+        const Unaligned a(random_vec(rows * cols, rng));
+        const Unaligned x(random_vec(cols, rng));
+        std::vector<double> y(rows, -1.0);
+        matvec(a.data, rows, cols, x.data, y.data());
+        for (std::size_t i = 0; i < rows; ++i) {
+          long double ref = 0.0L;
+          double magnitude = 0.0;
+          for (std::size_t j = 0; j < cols; ++j) {
+            const double term = a.data[i * cols + j] * x.data[j];
+            ref += static_cast<long double>(a.data[i * cols + j]) *
+                   static_cast<long double>(x.data[j]);
+            magnitude += std::abs(term);
+          }
+          const double bound = static_cast<double>(cols) *
+                               std::numeric_limits<double>::epsilon() *
+                               magnitude;
+          EXPECT_LE(std::abs(static_cast<double>(ref) - y[i]), bound)
+              << "simd=" << simd << " rows=" << rows << " cols=" << cols
+              << " row=" << i;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

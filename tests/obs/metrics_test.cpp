@@ -12,7 +12,8 @@
 //     labeled families included;
 //   * every JSONL line is a self-contained parseable JSON object;
 //   * the sampler appends at least an initial and a final snapshot and
-//     flips timing_enabled() for its lifetime.
+//     flips timing_enabled() for its lifetime, plus one line per source
+//     that leaves while it runs, carrying that source's final counts.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -248,6 +249,49 @@ TEST(MetricsRegistry, SamplerWritesParseableSeriesAndFlipsTimingFlag) {
     last_stamp = static_cast<std::uint64_t>(stamp->number_value);
   }
   EXPECT_GE(lines, 2u);  // at least the initial and the final snapshot
+  std::remove(path.c_str());
+}
+
+TEST(MetricsRegistry, SamplerKeepsTheFinalCountsOfASourceThatLeaves) {
+  const std::string path =
+      ::testing::TempDir() + "/oselm_metrics_departed_test.jsonl";
+  MetricsRegistry registry;
+  // A period far longer than the test: only the initial line, the
+  // departure line and the final line can be written.
+  ASSERT_TRUE(registry.start_sampler(path, /*period_ms=*/60000));
+  const auto initial_line_written = [&path] {
+    std::ifstream in(path);
+    std::string first;
+    return static_cast<bool>(std::getline(in, first));
+  };
+  for (int i = 0; i < 5000 && !initial_line_written(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(initial_line_written());
+  add_served_source(registry, "brief").reset();
+  EXPECT_TRUE(registry.snapshot().counters.empty());  // gone from snapshots
+  registry.stop_sampler();
+  add_served_source(registry, "after").reset();  // no sampler: no line
+
+  std::ifstream file(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(file, line)) lines.push_back(line);
+  std::size_t carrying = 0;
+  for (const std::string& l : lines) {
+    JsonValue root;
+    std::string error;
+    ASSERT_TRUE(parse_json(l, &root, &error)) << error << "\n" << l;
+    const JsonValue* brief =
+        root.find("counters")->find("served_total{server=\"brief\"}");
+    if (brief != nullptr) {
+      EXPECT_EQ(brief->number_value, 5.0);
+      ++carrying;
+    }
+    EXPECT_EQ(l.find("after"), std::string::npos) << l;
+  }
+  EXPECT_EQ(carrying, 1u);
+  EXPECT_GE(lines.size(), 3u);
   std::remove(path.c_str());
 }
 

@@ -331,5 +331,56 @@ TEST(ServingMetrics, SamplerSnapshotsWhileServersAreDestroyed) {
   std::remove(path.c_str());
 }
 
+TEST(ServingMetrics, ServerShorterThanTheSamplerPeriodKeepsItsCounters) {
+  // The server is built, serves and is destroyed between the sampler's
+  // initial and final lines, so neither can see it; the line written as
+  // its source leaves carries its final counts.
+  const std::string path =
+      ::testing::TempDir() + "/oselm_short_server_metrics_test.jsonl";
+  ASSERT_TRUE(MetricsRegistry::global().start_sampler(path, 60000));
+  const auto line_count = [&path] {
+    std::ifstream in(path);
+    std::string line;
+    std::size_t count = 0;
+    while (std::getline(in, line)) ++count;
+    return count;
+  };
+  for (int i = 0; i < 5000 && line_count() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(line_count(), 1u);  // the initial line, before the server
+  std::uint64_t steps = 0;
+  {
+    const std::unique_ptr<rl::AsyncQServer> server =
+        export_server("short-lived");
+    (void)server->wait(server->add_session(
+        session_spec(AsyncSessionMode::kEvaluate, 5, 6, 2)));
+    steps = server->stats().steps;
+  }
+  ASSERT_GT(steps, 0u);
+  MetricsRegistry::global().stop_sampler();
+
+  std::ifstream file(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(file, line)) lines.push_back(line);
+  ASSERT_GE(lines.size(), 3u);
+  const std::string key = "oselm_async_steps_total{server=\"short-lived\"}";
+  std::size_t carrying = 0;
+  for (const std::string& l : lines) {
+    JsonValue root;
+    std::string error;
+    ASSERT_TRUE(parse_json(l, &root, &error)) << error << "\n" << l;
+    const JsonValue* value = root.find("counters")->find(key);
+    if (value == nullptr) continue;
+    EXPECT_EQ(value->number_value, static_cast<double>(steps));
+    ++carrying;
+  }
+  EXPECT_EQ(carrying, 1u);
+  // Later snapshots no longer carry the destroyed server.
+  EXPECT_EQ(lines.back().find("short-lived"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace oselm::obs
